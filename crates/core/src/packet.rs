@@ -82,6 +82,63 @@ impl PacketBuilder {
         Ok(())
     }
 
+    /// Packs `chunks` as [`pack`] does, appending the packets to `out`. The
+    /// builder's buffer is the scratch space every packet is filled in, and
+    /// each packet is cut from it with one exact-size copy, so a builder
+    /// kept across calls packs without a per-packet MTU-sized allocation.
+    /// Whatever the builder held before is discarded.
+    pub fn pack_into(
+        &mut self,
+        chunks: impl IntoIterator<Item = Chunk>,
+        out: &mut impl Extend<Packet>,
+    ) -> Result<(), CoreError> {
+        self.buf.clear();
+        for mut chunk in chunks {
+            loop {
+                // Fast path: the whole chunk fits.
+                match self.push(chunk) {
+                    Ok(()) => break,
+                    Err(back) => chunk = back,
+                }
+                // Split off as many elements as fit in the current packet.
+                let fit = self.fit_elements(chunk.header.size);
+                if fit == 0 || chunk.header.ty.is_control() {
+                    // No room (or control is indivisible): start a new packet.
+                    if self.is_empty() {
+                        // Even an empty packet cannot take one element.
+                        return Err(CoreError::ElementExceedsMtu {
+                            size: chunk.header.size,
+                            mtu: self.mtu,
+                        });
+                    }
+                    out.extend([self.cut()]);
+                    continue;
+                }
+                debug_assert!(fit < chunk.header.len);
+                let (head, tail) = split(&chunk, fit)?;
+                self.push(head)
+                    .map_err(|_| CoreError::Truncated)
+                    .expect("head sized to fit");
+                out.extend([self.cut()]);
+                chunk = tail;
+            }
+        }
+        if !self.is_empty() {
+            out.extend([self.cut()]);
+        }
+        Ok(())
+    }
+
+    /// Copies the packet filled so far out of the scratch buffer and empties
+    /// the buffer for the next one.
+    fn cut(&mut self) -> Packet {
+        let packet = Packet {
+            bytes: Bytes::copy_from_slice(&self.buf),
+        };
+        self.buf.clear();
+        packet
+    }
+
     /// Finishes the packet exactly as filled (no padding). The parser stops
     /// at end-of-bytes.
     pub fn finish(self) -> Packet {
@@ -105,43 +162,14 @@ impl PacketBuilder {
 /// Packs a sequence of chunks into packets of at most `mtu` bytes, splitting
 /// chunks that do not fit (Appendix C via [`split`]). Greedy first-fit in
 /// the order given; the receiver does not care about placement.
-pub fn pack(chunks: Vec<Chunk>, mtu: usize) -> Result<Vec<Packet>, CoreError> {
+///
+/// Greedy first-fit with a single open packet is a streaming algorithm:
+/// repacking the chunks of `pack(a)` followed by `c` yields exactly
+/// `pack(a ++ c)`, because the pieces of `pack(a)` recreate its packets and
+/// leave the same packet open for `c`.
+pub fn pack(chunks: impl IntoIterator<Item = Chunk>, mtu: usize) -> Result<Vec<Packet>, CoreError> {
     let mut packets = Vec::new();
-    let mut builder = PacketBuilder::new(mtu);
-    for mut chunk in chunks {
-        loop {
-            // Fast path: the whole chunk fits.
-            match builder.push(chunk) {
-                Ok(()) => break,
-                Err(back) => chunk = back,
-            }
-            // Split off as many elements as fit in the current packet.
-            let fit = builder.fit_elements(chunk.header.size);
-            if fit == 0 || chunk.header.ty.is_control() {
-                // No room (or control is indivisible): start a new packet.
-                if builder.is_empty() {
-                    // Even an empty packet cannot take one element.
-                    return Err(CoreError::ElementExceedsMtu {
-                        size: chunk.header.size,
-                        mtu,
-                    });
-                }
-                packets.push(std::mem::replace(&mut builder, PacketBuilder::new(mtu)).finish());
-                continue;
-            }
-            debug_assert!(fit < chunk.header.len);
-            let (head, tail) = split(&chunk, fit)?;
-            builder
-                .push(head)
-                .map_err(|_| CoreError::Truncated)
-                .expect("head sized to fit");
-            packets.push(std::mem::replace(&mut builder, PacketBuilder::new(mtu)).finish());
-            chunk = tail;
-        }
-    }
-    if !builder.is_empty() {
-        packets.push(builder.finish());
-    }
+    PacketBuilder::new(mtu).pack_into(chunks, &mut packets)?;
     Ok(packets)
 }
 

@@ -42,9 +42,46 @@ impl AckInfo {
         end <= self.cumulative || self.sacks.contains(&start)
     }
 
+    /// Bytes [`Self::encode`] produces: the fixed fields (cumulative point,
+    /// three list counts, pressure flag) plus 8 bytes per SACK or need-ED
+    /// start and 16 per gap.
+    pub fn encoded_len(&self) -> usize {
+        Self::FIXED_LEN + 8 * (self.sacks.len() + self.need_ed.len()) + 16 * self.gaps.len()
+    }
+
+    /// Encoded size of an ack with empty lists.
+    const FIXED_LEN: usize = 8 + 2 + 2 + 2 + 1;
+
+    /// A copy of this ack that encodes in at most `max_bytes`. The
+    /// cumulative point and the pressure flag stay exact; list entries —
+    /// SACK starts, gaps by their low end, need-ED starts — go from the
+    /// highest connection-space position down until the rest fits (all of
+    /// them when even the fixed fields do not fit). Trimming only withholds
+    /// news: a TPDU the sender no longer sees acknowledged or reported is
+    /// retransmitted in full, and a gap left out is reported again by a
+    /// later ack once the lower entries are repaired.
+    pub fn trimmed_to(&self, max_bytes: usize) -> AckInfo {
+        let mut ack = self.clone();
+        ack.sacks.sort_unstable();
+        ack.gaps.sort_unstable();
+        ack.need_ed.sort_unstable();
+        while ack.encoded_len() > max_bytes {
+            let sack = ack.sacks.last().copied();
+            let gap = ack.gaps.last().map(|&(lo, _)| lo);
+            let ed = ack.need_ed.last().copied();
+            match [sack, gap, ed].into_iter().flatten().max() {
+                None => break,
+                Some(top) if sack == Some(top) => drop(ack.sacks.pop()),
+                Some(top) if gap == Some(top) => drop(ack.gaps.pop()),
+                Some(_) => drop(ack.need_ed.pop()),
+            }
+        }
+        ack
+    }
+
     /// Encodes the ack payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.sacks.len() * 8 + self.gaps.len() * 16);
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&self.cumulative.to_be_bytes());
         out.extend_from_slice(&(self.sacks.len() as u16).to_be_bytes());
         for s in &self.sacks {
@@ -178,6 +215,48 @@ mod tests {
         let mut junk = buf.clone();
         *junk.last_mut().unwrap() = 7;
         assert_eq!(AckInfo::decode(&junk), None);
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let ack = AckInfo {
+            cumulative: 1,
+            sacks: vec![2, 3],
+            gaps: vec![(4, 5)],
+            need_ed: vec![6],
+            pressure: false,
+        };
+        assert_eq!(ack.encoded_len(), ack.encode().len());
+        assert_eq!(AckInfo::default().encoded_len(), AckInfo::FIXED_LEN);
+    }
+
+    #[test]
+    fn trimming_drops_the_highest_entries_first() {
+        let ack = AckInfo {
+            cumulative: 100,
+            sacks: vec![400, 200, 700],
+            gaps: vec![(150, 160), (500, 520)],
+            need_ed: vec![600],
+            pressure: true,
+        };
+        assert_eq!(
+            ack.trimmed_to(ack.encoded_len()).encoded_len(),
+            ack.encoded_len()
+        );
+        // Room for everything but 8 bytes: the top entry (SACK 700) goes.
+        let t = ack.trimmed_to(ack.encoded_len() - 1);
+        assert_eq!(t.sacks, vec![200, 400]);
+        assert_eq!(t.need_ed, vec![600]);
+        // Three more drops: need-ED 600, gap 500, SACK 400.
+        let t = ack.trimmed_to(AckInfo::FIXED_LEN + 8 + 16);
+        assert_eq!((t.cumulative, t.pressure), (100, true));
+        assert_eq!(t.sacks, vec![200]);
+        assert_eq!(t.gaps, vec![(150, 160)]);
+        assert!(t.need_ed.is_empty());
+        // Nothing fits but the fixed fields.
+        let t = ack.trimmed_to(0);
+        assert_eq!(t.encoded_len(), AckInfo::FIXED_LEN);
+        assert_eq!(t.cumulative, 100);
     }
 
     #[test]

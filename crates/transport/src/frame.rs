@@ -43,10 +43,9 @@ pub struct Tpdu {
 impl Tpdu {
     /// All chunks including the ED chunk, in send order (the ED chunk
     /// follows the data as in Figure 3).
-    pub fn all_chunks(&self) -> Vec<Chunk> {
-        let mut v = self.chunks.clone();
-        v.push(self.ed.clone());
-        v
+    /// Cloning a chunk shares its payload, so this copies no data.
+    pub fn all_chunks(&self) -> impl Iterator<Item = Chunk> + '_ {
+        self.chunks.iter().chain(std::iter::once(&self.ed)).cloned()
     }
 
     /// Payload bytes carried.

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use chunks_core::chunk::Chunk;
 use chunks_core::error::CoreError;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{pack, spans, unpack, validate, Packet};
-use chunks_core::wire::decode_chunk_at;
+use chunks_core::packet::{spans, unpack, validate, Packet, PacketBuilder};
+use chunks_core::wire::{decode_chunk_at, WIRE_HEADER_LEN};
 use chunks_obs::{ObsSink, ShardSink};
 
 use crate::ack::AckInfo;
@@ -33,6 +33,9 @@ use crate::table::{ConnTable, TableConfig};
 pub struct PacketMux {
     mtu: usize,
     queue: Vec<Chunk>,
+    /// The scratch packet every flush fills, kept with the queue's capacity
+    /// so a long-lived mux packs without per-packet buffers.
+    builder: PacketBuilder,
 }
 
 impl PacketMux {
@@ -41,6 +44,7 @@ impl PacketMux {
         PacketMux {
             mtu,
             queue: Vec::new(),
+            builder: PacketBuilder::new(mtu),
         }
     }
 
@@ -55,9 +59,17 @@ impl PacketMux {
     }
 
     /// Queues an acknowledgment for `conn_id` — it will ride whatever
-    /// packet has room (piggybacking for free).
+    /// packet has room (piggybacking for free). An ack whose encoding would
+    /// not fit one packet is trimmed to fit ([`AckInfo::trimmed_to`]): its
+    /// cumulative point stays exact and only the highest entries go, which
+    /// the sender answers with full retransmissions.
     pub fn enqueue_ack(&mut self, conn_id: u32, ack: &AckInfo) {
-        self.queue.push(ack.to_chunk(conn_id));
+        let room = self.mtu.saturating_sub(WIRE_HEADER_LEN);
+        if ack.encoded_len() <= room {
+            self.queue.push(ack.to_chunk(conn_id));
+        } else {
+            self.queue.push(ack.trimmed_to(room).to_chunk(conn_id));
+        }
     }
 
     /// Queues a connection signal.
@@ -65,9 +77,22 @@ impl PacketMux {
         self.queue.push(signal.to_chunk());
     }
 
+    /// Drops everything queued.
+    pub fn clear(&mut self) {
+        self.queue.clear();
+    }
+
     /// Packs everything queued into packets and clears the queue.
     pub fn flush(&mut self) -> Result<Vec<Packet>, CoreError> {
-        pack(std::mem::take(&mut self.queue), self.mtu)
+        let mut packets = Vec::new();
+        self.flush_into(&mut packets)?;
+        Ok(packets)
+    }
+
+    /// [`Self::flush`], appending the packets to `out`. The queue is
+    /// cleared also on error.
+    pub fn flush_into(&mut self, out: &mut impl Extend<Packet>) -> Result<(), CoreError> {
+        self.builder.pack_into(self.queue.drain(..), out)
     }
 }
 

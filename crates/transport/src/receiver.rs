@@ -224,8 +224,16 @@ pub struct Receiver {
     /// [`Self::group_entry`] — in steady state a new TPDU opens without
     /// touching the allocator.
     pool: Vec<Group>,
-    /// Verified-and-delivered TPDU starts (drives acks).
+    /// Verified-and-delivered TPDU starts, in delivery order.
     delivered: Vec<u64>,
+    /// Contiguously verified prefix, in elements: the ack's cumulative
+    /// point, advanced as TPDUs deliver.
+    prefix: u64,
+    /// Delivered TPDUs at or beyond `prefix` as `(start, elements)`, sorted
+    /// by start, one entry per start: the next ack's SACK list. A start
+    /// whose group was reset after delivery stays listed with 0 elements,
+    /// as it stays in `delivered`.
+    ahead: Vec<(u64, u64)>,
     closed: bool,
     /// Differential-test oracle: when set, `handle_packet` decodes through
     /// the pre-refactor owned path (`unpack`, one payload copy per chunk)
@@ -310,6 +318,8 @@ impl Receiver {
             done: HashMap::new(),
             pool: Vec::new(),
             delivered: Vec::new(),
+            prefix: 0,
+            ahead: Vec::new(),
             closed: false,
             legacy_owned: false,
             stats: RxStats::default(),
@@ -396,6 +406,7 @@ impl Receiver {
         self.groups.reserve(tpdus);
         self.done.reserve(tpdus);
         self.delivered.reserve(tpdus);
+        self.ahead.reserve(tpdus);
         self.claimed.reserve(fragments);
         self.reorder_q.reserve(fragments);
         self.pool.reserve(tpdus);
@@ -408,23 +419,53 @@ impl Receiver {
 
     /// Contiguously verified prefix, in elements.
     pub fn verified_prefix(&self) -> u64 {
-        let mut starts: Vec<(u64, u64)> = self
-            .delivered
-            .iter()
-            .map(|&s| {
-                let elements = self.done.get(&s).map(|d| d.elements).unwrap_or_default();
-                (s, elements)
-            })
-            .collect();
-        starts.sort_unstable();
-        let mut cursor = 0;
-        for (s, n) in starts {
-            if s > cursor {
+        self.prefix
+    }
+
+    /// Advances the ack state for a TPDU delivered at `start`. In order
+    /// (the common case) it bumps the prefix, which then swallows any run
+    /// of `ahead` it reaches; out of order it joins the sorted `ahead` run,
+    /// which [`Self::reserve`] pre-sizes.
+    fn note_delivered(&mut self, start: u64, elements: u64) {
+        let end = start + elements;
+        if start <= self.prefix && end > self.prefix {
+            self.prefix = end;
+            self.absorb();
+        } else if start >= self.prefix {
+            match self.ahead.binary_search_by_key(&start, |&(s, _)| s) {
+                Ok(i) => self.ahead[i].1 = elements,
+                Err(i) => self.ahead.insert(i, (start, elements)),
+            }
+        }
+    }
+
+    /// Moves every `ahead` entry the prefix reaches into it. Entries exactly
+    /// at the final prefix (empty ones) stay: they are still SACKed.
+    fn absorb(&mut self) {
+        let mut reached = 0;
+        for &(start, elements) in &self.ahead {
+            if start > self.prefix {
                 break;
             }
-            cursor = cursor.max(s + n);
+            self.prefix = self.prefix.max(start + elements);
+            reached += 1;
         }
-        cursor
+        let passed = self.ahead[..reached].partition_point(|&(s, _)| s < self.prefix);
+        self.ahead.drain(..passed);
+    }
+
+    /// Recomputes the ack state from `delivered`: the slow path for the one
+    /// change that can shrink it, resetting a delivered group.
+    fn rebuild_prefix(&mut self) {
+        self.prefix = 0;
+        self.ahead.clear();
+        for &start in &self.delivered {
+            let elements = self.done.get(&start).map_or(0, |d| d.elements);
+            self.ahead.push((start, elements));
+        }
+        self.ahead.sort_unstable();
+        self.ahead.dedup_by_key(|&mut (s, _)| s);
+        self.absorb();
     }
 
     /// True once the `C.ST` bit has been seen on verified data.
@@ -1303,7 +1344,7 @@ impl Receiver {
             .tracker
             .known_end()
             .expect("complete group knows its end");
-        self.done.insert(
+        let earlier = self.done.insert(
             start,
             Done {
                 elements,
@@ -1312,6 +1353,8 @@ impl Receiver {
                 digest: group.inv.digest(),
             },
         );
+        debug_assert!(earlier.is_none(), "a delivered group never reopens");
+        self.note_delivered(start, elements);
         self.recycle_group(group);
         out.push(RxEvent::TpduDelivered { start, elements });
         if self.closed {
@@ -1337,16 +1380,12 @@ impl Receiver {
 
     /// Builds the current acknowledgment, including the precise missing
     /// element ranges so the sender can retransmit sub-chunks only.
+    ///
+    /// Costs O(TPDUs delivered out of order + open groups), however long
+    /// the stream: the cumulative point and the SACK list are kept as
+    /// TPDUs deliver.
     pub fn make_ack(&self) -> AckInfo {
-        let prefix = self.verified_prefix();
-        let mut sacks: Vec<u64> = self
-            .delivered
-            .iter()
-            .copied()
-            .filter(|&s| s >= prefix)
-            .collect();
-        sacks.sort_unstable();
-        sacks.dedup();
+        let sacks: Vec<u64> = self.ahead.iter().map(|&(s, _)| s).collect();
         let mut gaps: Vec<(u64, u64)> = Vec::new();
         let mut need_ed: Vec<u64> = Vec::new();
         for (&start, g) in &self.groups {
@@ -1369,7 +1408,7 @@ impl Receiver {
         gaps.sort_unstable();
         need_ed.sort_unstable();
         AckInfo {
-            cumulative: prefix,
+            cumulative: self.prefix,
             sacks,
             gaps,
             need_ed,
@@ -1433,6 +1472,7 @@ impl Receiver {
             // A delivered group: its heavy state is long recycled; drop the
             // verdict record and free the claims, as the legacy removal did.
             self.claimed.release(start);
+            self.rebuild_prefix();
         }
     }
 
@@ -1455,6 +1495,8 @@ impl Receiver {
         self.reorder_q.clear();
         self.done.clear();
         self.delivered.clear();
+        self.prefix = 0;
+        self.ahead.clear();
         self.claimed.clear();
         self.in_order = 0;
         self.closed = false;
@@ -1854,5 +1896,135 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// The ack state as the sort-and-sweep over every delivery record that
+    /// `verified_prefix`/`make_ack` once recomputed on each call: the
+    /// oracle for the incremental `prefix`/`ahead` pair.
+    fn swept_ack_state(r: &Receiver) -> (u64, Vec<u64>) {
+        let mut starts: Vec<(u64, u64)> = r
+            .delivered
+            .iter()
+            .map(|&s| (s, r.done.get(&s).map_or(0, |d| d.elements)))
+            .collect();
+        starts.sort_unstable();
+        let mut cursor = 0;
+        for (s, n) in starts {
+            if s > cursor {
+                break;
+            }
+            cursor = cursor.max(s + n);
+        }
+        let mut sacks: Vec<u64> = r
+            .delivered
+            .iter()
+            .copied()
+            .filter(|&s| s >= cursor)
+            .collect();
+        sacks.sort_unstable();
+        sacks.dedup();
+        (cursor, sacks)
+    }
+
+    #[test]
+    fn incremental_ack_state_matches_the_sweep() {
+        // Seeded random conversations: TPDUs arrive whole or in part, in any
+        // order, duplicated, corrupted; failed and delivered groups are
+        // reset and sent again; the receiver is quiesced and re-armed. After
+        // every step the kept cursor must equal the full recomputation.
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let data: Vec<u8> = (0..96u32).map(|i| (i * 7) as u8).collect();
+        let tpdus = framed(&data); // twelve TPDUs of 8
+        let modes = [
+            DeliveryMode::Immediate,
+            DeliveryMode::Reorder,
+            DeliveryMode::Reassemble,
+        ];
+        let mut checked = 0;
+        for scenario in 0..150 {
+            let mut r = rx(modes[scenario % modes.len()]);
+            r.reserve(tpdus.len(), 64);
+            for _ in 0..60 {
+                let t = &tpdus[next(tpdus.len())];
+                match next(10) {
+                    // Whole TPDU, chunks in random order.
+                    0..=3 => {
+                        let mut chunks: Vec<Chunk> = t.all_chunks().collect();
+                        let k = next(chunks.len());
+                        chunks.rotate_left(k);
+                        for c in chunks {
+                            r.handle_chunk(c, 0);
+                        }
+                    }
+                    // One chunk only: leaves a group open (or duplicates).
+                    4 | 5 => {
+                        let chunks: Vec<Chunk> = t.all_chunks().collect();
+                        r.handle_chunk(chunks[next(chunks.len())].clone(), 0);
+                    }
+                    // A corrupted copy: the group fails verification.
+                    6 => {
+                        let mut bad = t.chunks[0].clone();
+                        let mut bytes = bad.payload.to_vec();
+                        bytes[0] ^= 0x40;
+                        bad.payload = bytes.into();
+                        r.handle_chunk(bad, 0);
+                        r.handle_chunk(t.ed.clone(), 0);
+                    }
+                    // Reset whatever is at this start: failed, open,
+                    // delivered, or nothing.
+                    7 | 8 => r.reset_group(t.start),
+                    // Rare: quiesce, or re-arm for the same connection.
+                    _ => {
+                        if next(4) == 0 {
+                            r.quiesce();
+                        } else if next(4) == 0 {
+                            r.rearm(params());
+                        }
+                    }
+                }
+                for s in r.failed_starts() {
+                    if next(2) == 0 {
+                        r.reset_group(s);
+                    }
+                }
+                let (prefix, sacks) = swept_ack_state(&r);
+                let ack = r.make_ack();
+                assert_eq!(r.verified_prefix(), prefix, "scenario {scenario}");
+                assert_eq!(ack.cumulative, prefix, "scenario {scenario}");
+                assert_eq!(ack.sacks, sacks, "scenario {scenario}");
+                checked += usize::from(!sacks.is_empty());
+            }
+        }
+        assert!(checked > 1000, "the walk must reach out-of-order states");
+    }
+
+    #[test]
+    fn resetting_a_delivered_group_rewinds_the_prefix() {
+        let mut r = rx(DeliveryMode::Immediate);
+        let tpdus = framed(&[3u8; 24]);
+        for t in &tpdus {
+            for c in t.all_chunks() {
+                r.handle_chunk(c, 0);
+            }
+        }
+        assert_eq!(r.verified_prefix(), 24);
+        r.reset_group(8);
+        // The reset TPDU stays SACKed with no elements, as the sweep over
+        // `delivered` always reported it; the prefix stops in front of it.
+        assert_eq!(r.verified_prefix(), 8);
+        assert_eq!(r.make_ack().sacks, vec![8, 16]);
+        for c in tpdus[1].all_chunks() {
+            r.handle_chunk(c, 0);
+        }
+        assert_eq!(r.verified_prefix(), 24);
+        assert!(r.make_ack().sacks.is_empty());
+        assert_eq!(swept_ack_state(&r), (24, vec![]));
     }
 }

@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 
+use chunks_core::chunk::Chunk;
 use chunks_core::error::CoreError;
 use chunks_core::packet::{pack, Packet};
 
@@ -107,28 +108,37 @@ impl Sender {
         )
     }
 
-    /// Packs every pending TPDU into packets for the path MTU (the initial
-    /// transmission or a full retransmission pass).
-    pub fn packets_for_pending(&self) -> Result<Vec<Packet>, CoreError> {
-        let chunks = self
-            .pending
-            .values()
-            .flat_map(|t| t.all_chunks())
-            .collect::<Vec<_>>();
-        pack(chunks, self.cfg.mtu)
+    /// The chunks of every pending TPDU, in connection-space order, each
+    /// TPDU's ED chunk after its data (the initial transmission or a full
+    /// retransmission pass). The chunks share the TPDUs' payloads.
+    pub fn pending_chunks(&self) -> impl Iterator<Item = Chunk> + '_ {
+        self.pending.values().flat_map(Tpdu::all_chunks)
     }
 
-    /// Packs the TPDUs named by `starts` for retransmission — identical
-    /// identifiers, as §3.3 requires.
+    /// [`Self::pending_chunks`] packed for the path MTU.
+    pub fn packets_for_pending(&self) -> Result<Vec<Packet>, CoreError> {
+        pack(self.pending_chunks(), self.cfg.mtu)
+    }
+
+    /// The chunks that retransmit the pending TPDUs named by `starts` —
+    /// identical identifiers, as §3.3 requires. Each pending TPDU named
+    /// counts one retransmission; starts no longer pending are skipped.
+    pub fn retransmit_chunks<'a>(
+        &'a mut self,
+        starts: &'a [u64],
+    ) -> impl Iterator<Item = Chunk> + 'a {
+        let pending = &self.pending;
+        self.retransmissions += starts.iter().filter(|s| pending.contains_key(s)).count() as u64;
+        starts
+            .iter()
+            .filter_map(|s| pending.get(s))
+            .flat_map(Tpdu::all_chunks)
+    }
+
+    /// [`Self::retransmit_chunks`] packed for the path MTU.
     pub fn retransmit(&mut self, starts: &[u64]) -> Result<Vec<Packet>, CoreError> {
-        let mut chunks = Vec::new();
-        for s in starts {
-            if let Some(t) = self.pending.get(s) {
-                chunks.extend(t.all_chunks());
-                self.retransmissions += 1;
-            }
-        }
-        pack(chunks, self.cfg.mtu)
+        let mtu = self.cfg.mtu;
+        pack(self.retransmit_chunks(starts), mtu)
     }
 
     /// Applies an acknowledgment; returns the starts newly confirmed.
@@ -170,19 +180,6 @@ impl Sender {
         }
     }
 
-    /// Re-sends only the 8-byte ED chunks of the named TPDUs (the data
-    /// arrived; the digest did not).
-    pub fn retransmit_eds(&mut self, starts: &[u64]) -> Result<Vec<Packet>, CoreError> {
-        let chunks: Vec<_> = starts
-            .iter()
-            .filter_map(|s| self.pending.get(s).map(|t| t.ed.clone()))
-            .collect();
-        if !chunks.is_empty() {
-            self.retransmissions += 1;
-        }
-        pack(chunks, self.cfg.mtu)
-    }
-
     /// Answers a full receiver report: sub-chunks for the named gaps,
     /// missing ED chunks, and — for pending TPDUs the report does not
     /// mention at all (their packets vanished before the receiver learned
@@ -218,6 +215,18 @@ impl Sender {
         ack: &crate::ack::AckInfo,
         max_tpdus: usize,
     ) -> Result<(Vec<Packet>, Vec<u64>), CoreError> {
+        let (chunks, repaired) = self.repair_chunks(ack, max_tpdus)?;
+        Ok((pack(chunks, self.cfg.mtu)?, repaired))
+    }
+
+    /// The chunks that answer a receiver report, and the starts of the TPDUs
+    /// they repair (at most `max_tpdus`, in connection-space order): see
+    /// [`Self::retransmit_for_ack`] for what each unacknowledged TPDU gets.
+    pub fn repair_chunks(
+        &mut self,
+        ack: &crate::ack::AckInfo,
+        max_tpdus: usize,
+    ) -> Result<(Vec<Chunk>, Vec<u64>), CoreError> {
         let mut chunks = Vec::new();
         let mut repaired: Vec<u64> = Vec::new();
         for (&start, tpdu) in &self.pending {
@@ -234,13 +243,12 @@ impl Sender {
                 chunks.push(tpdu.ed.clone());
                 continue;
             }
-            let overlapping: Vec<(u64, u64)> = ack
+            let mut overlapping = ack
                 .gaps
                 .iter()
                 .filter(|&&(lo, hi)| lo < end && start < hi)
-                .copied()
-                .collect();
-            if overlapping.is_empty() {
+                .peekable();
+            if overlapping.peek().is_none() {
                 // The report does not mention this TPDU at all: its packets
                 // vanished before the receiver learned they exist, so it
                 // cannot nack what it never saw. Full retransmission.
@@ -249,7 +257,7 @@ impl Sender {
             }
             // Precise sub-chunk repair (Appendix C extraction); the ED chunk
             // rides along so a receiver that lost it can still verify.
-            for &(lo, hi) in &overlapping {
+            for &(lo, hi) in overlapping {
                 let want_lo = lo.max(start);
                 let want_hi = hi.min(end);
                 if want_lo >= want_hi {
@@ -274,53 +282,7 @@ impl Sender {
             chunks.push(tpdu.ed.clone());
         }
         self.retransmissions += repaired.len() as u64;
-        Ok((pack(chunks, self.cfg.mtu)?, repaired))
-    }
-
-    /// Retransmits only the element ranges a receiver reported missing —
-    /// sub-chunks extracted per Appendix C, each a perfectly ordinary chunk
-    /// with identical labels. The TPDU's ED chunk rides along so a receiver
-    /// that lost it can still verify.
-    pub fn retransmit_gaps(&mut self, gaps: &[(u64, u64)]) -> Result<Vec<Packet>, CoreError> {
-        let mut chunks = Vec::new();
-        let mut touched: Vec<u64> = Vec::new();
-        for &(lo, hi) in gaps {
-            for (&start, tpdu) in self.pending.range(..hi) {
-                let end = start + tpdu.elements as u64;
-                if end <= lo {
-                    continue;
-                }
-                let want_lo = lo.max(start);
-                let want_hi = hi.min(end);
-                if want_lo >= want_hi {
-                    continue;
-                }
-                for c in &tpdu.chunks {
-                    // Chunk covers [c_lo, c_hi) in connection space.
-                    let c_lo = start + c.header.tpdu.sn as u64;
-                    let c_hi = c_lo + c.header.len as u64;
-                    let take_lo = want_lo.max(c_lo);
-                    let take_hi = want_hi.min(c_hi);
-                    if take_lo >= take_hi {
-                        continue;
-                    }
-                    let piece = chunks_core::frag::extract(
-                        c,
-                        (take_lo - c_lo) as u32,
-                        (take_hi - take_lo) as u32,
-                    )?;
-                    chunks.push(piece);
-                }
-                if !touched.contains(&start) {
-                    touched.push(start);
-                    chunks.push(tpdu.ed.clone());
-                }
-            }
-        }
-        if !chunks.is_empty() {
-            self.retransmissions += 1;
-        }
-        pack(chunks, self.cfg.mtu)
+        Ok((chunks, repaired))
     }
 
     /// Loss feedback: halve the TPDU size (multiplicative decrease), so

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use chunks_core::error::CoreError;
-use chunks_core::packet::{unpack, Packet};
+use chunks_core::packet::Packet;
 use chunks_obs::{
     Event, HealthEvent, HealthReport, Labels, ObsSink, SpanId, Stage, Watchdog, WatchdogConfig,
 };
@@ -78,7 +78,9 @@ impl ReliabilityStats {
 pub struct Session {
     tx: Sender,
     rx: Receiver,
-    mtu: usize,
+    /// Every batch's chunks meet here and are packed once, acks riding
+    /// with data; kept across batches so its buffers stay warm.
+    mux: PacketMux,
     local_conn: u32,
     /// Last ack received for our outbound stream, pending a repair pass.
     inbound_ack: Option<AckInfo>,
@@ -127,7 +129,7 @@ impl Session {
         capacity_elements: u64,
     ) -> Self {
         Session {
-            mtu: local.mtu,
+            mux: PacketMux::new(local.mtu),
             local_conn: local.params.conn_id,
             tx: Sender::new(local),
             rx: Receiver::new(mode, remote, remote_layout, capacity_elements),
@@ -331,18 +333,22 @@ impl Session {
         self.emit(true)
     }
 
+    /// Builds one batch: every chunk this call sends — the first
+    /// transmission or the ack-driven repair, the timer retransmissions,
+    /// and the inbound ack — goes into the session's [`PacketMux`] and is
+    /// packed exactly once, so acks share packets with data.
     fn emit(&mut self, timers: bool) -> Result<Vec<Packet>, TransportError> {
         let now = self.clock;
-        let mut mux = PacketMux::new(self.mtu);
+        // A call that failed part-way must not leak its chunks into this
+        // batch.
+        self.mux.clear();
         // TPDUs put on the wire by this call, and whether the send is a
         // retransmission (ambiguous for RTT sampling — Karn's rule).
         let mut sent: Vec<(u64, bool)> = Vec::new();
 
         if !self.transmitted_once {
             self.transmitted_once = true;
-            for p in self.tx.packets_for_pending()? {
-                mux.enqueue_chunks(unpack(&p)?);
-            }
+            self.mux.enqueue_chunks(self.tx.pending_chunks());
             for s in self.tx.unacked_starts() {
                 // A TPDU that was already armed is going out again.
                 let again = self.rto.rto_for(s).is_some();
@@ -359,12 +365,8 @@ impl Session {
                     self.obs.counter("transport.session.pressure_deferrals", 1);
                 }
             } else {
-                let (packets, repaired) = self
-                    .tx
-                    .retransmit_for_ack_parts(&ack, self.repair_limit_tpdus)?;
-                for p in packets {
-                    mux.enqueue_chunks(unpack(&p)?);
-                }
+                let (chunks, repaired) = self.tx.repair_chunks(&ack, self.repair_limit_tpdus)?;
+                self.mux.enqueue_chunks(chunks);
                 sent.extend(repaired.into_iter().map(|s| (s, true)));
             }
         }
@@ -398,9 +400,7 @@ impl Session {
                             self.rto.forget(start);
                             continue;
                         }
-                        for p in self.tx.retransmit(&[start])? {
-                            mux.enqueue_chunks(unpack(&p)?);
-                        }
+                        self.mux.enqueue_chunks(self.tx.retransmit_chunks(&[start]));
                         self.stats.timer_retransmits += 1;
                         if self.obs_on {
                             self.obs.counter("transport.rto.timer_retransmits", 1);
@@ -510,10 +510,15 @@ impl Session {
         for s in self.rx.failed_starts() {
             self.rx.reset_group(s);
         }
-        mux.enqueue_ack(self.local_conn, &self.rx.make_ack());
+        self.mux.enqueue_ack(self.local_conn, &self.rx.make_ack());
 
         // Burst cap: everything queues, at most `max_burst_packets` leave.
-        self.backlog.extend(mux.flush()?);
+        // A batch that fails to pack queues none of its packets.
+        let queued = self.backlog.len();
+        if let Err(e) = self.mux.flush_into(&mut self.backlog) {
+            self.backlog.truncate(queued);
+            return Err(e.into());
+        }
         let take = self.backlog.len().min(self.max_burst_packets);
         let out: Vec<Packet> = self.backlog.drain(..take).collect();
         self.stats.burst_deferrals += self.backlog.len() as u64;
@@ -585,6 +590,7 @@ impl Session {
 mod tests {
     use super::*;
     use chunks_core::label::ChunkType;
+    use chunks_core::packet::unpack;
 
     fn params(conn_id: u32) -> ConnectionParams {
         ConnectionParams {

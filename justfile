@@ -6,8 +6,9 @@
 # plus the release-mode test suite, the parallel-equivalence gate, the
 # zero-allocation hot-path gate, the connection-table scale gate, the
 # BENCH regression gate, the reliability soak, the adversarial overlap
-# sweep, the lineage sweep, and the deterministic-trace replay.
-lint: check test-release test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace obs-overhead health
+# sweep, the lineage sweep, the deterministic-trace replay, and one run of
+# each end-to-end benchmark workload.
+lint: check test-release test-parallel test-hotpath test-scale bench-check soak soak-overlap lineage trace obs-overhead health labelbench
 
 # Static gate only: formatting, clippy, rustdoc.
 check: fmt clippy doc
@@ -124,3 +125,13 @@ obs-overhead:
 # per connection on first degradation with byte-stable output.
 health:
     cargo run --release --bin experiments health
+
+# End-to-end benchmark smoke: one short run of each labelbench workload at
+# --trace 0 (end-to-end metrics; exit ≠ 0 when a digest, replay or
+# allocation-window check fails) plus the benchmark's own tests. Runs the
+# benchmark as it stands; see labelbench/README.md for the metrics.
+labelbench:
+    cargo run --release --quiet --offline --manifest-path labelbench/Cargo.toml -- --workload bulk --seed 1 --seconds 1 --trace 0
+    cargo run --release --quiet --offline --manifest-path labelbench/Cargo.toml -- --workload fanin --seed 1 --seconds 1 --trace 0
+    cargo run --release --quiet --offline --manifest-path labelbench/Cargo.toml -- --workload stream --seed 1 --seconds 1 --trace 0
+    cargo test --release --offline --manifest-path labelbench/Cargo.toml

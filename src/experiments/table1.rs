@@ -185,7 +185,7 @@ fn with_replacement(transform: impl FnOnce(Chunk) -> Vec<Chunk>) -> Vec<Chunk> {
     let tpdus = victim_tpdus();
     let mut chunks = Vec::new();
     for (i, t) in tpdus.iter().enumerate() {
-        let mut cs = t.all_chunks();
+        let mut cs: Vec<Chunk> = t.all_chunks().collect();
         if i == 0 {
             let victim = cs.remove(1);
             let transform = transform.take().expect("first TPDU seen once");
@@ -213,7 +213,7 @@ fn with_ed_corruption(mutate: impl FnOnce(&mut Chunk)) -> Vec<Chunk> {
     let tpdus = victim_tpdus();
     let mut chunks = Vec::new();
     for (i, t) in tpdus.iter().enumerate() {
-        let mut cs = t.all_chunks();
+        let mut cs: Vec<Chunk> = t.all_chunks().collect();
         if i == 0 {
             let last = cs.len() - 1;
             (mutate.take().expect("first TPDU seen once"))(&mut cs[last]);

@@ -7,11 +7,15 @@
 //! * [`Wsc2Stream::fold`] of any permutation of disjoint partials equals the
 //!   one-shot digest — the merge stage's algebraic foundation;
 //! * [`TpduInvariant::fold`] over any partition of a TPDU's fragments among
-//!   workers, folded in any order, equals the serial accumulator.
+//!   workers, folded in any order, equals the serial accumulator;
+//! * packing is streaming: repacking the chunks of `pack(a)` ahead of more
+//!   chunks gives exactly the packets of packing everything once — the
+//!   reason a sender may pack each chunk exactly once.
 
-use chunks::core::chunk::{byte_chunk, Chunk};
+use chunks::core::chunk::{byte_chunk, Chunk, ChunkHeader};
 use chunks::core::frag::{merge, split};
-use chunks::core::label::FramingTuple;
+use chunks::core::label::{ChunkType, FramingTuple};
+use chunks::core::packet::{pack, unpack};
 use chunks::wsc::{InvariantLayout, TpduInvariant, Wsc2, Wsc2Stream};
 use proptest::prelude::*;
 
@@ -66,6 +70,47 @@ fn frag_randomly(chunk: Chunk, max_len: u32, lcg: &mut Lcg) -> Vec<Chunk> {
     // `pop` order already yields front-to-back; keep that as arrival order
     // until the caller shuffles.
     out
+}
+
+/// A seeded chunk of one of the kinds a transmit batch carries: `0` an ED
+/// chunk, `1` an ack (8–55 bytes), anything else a data chunk of 1 to
+/// `max_len` elements of 1, 2 or 4 bytes.
+fn seeded_chunk(lcg: &mut Lcg, kind: usize, max_len: usize) -> Chunk {
+    let conn = FramingTuple::new(3, lcg.next() as u32, false);
+    let tpdu = FramingTuple::new(0x51, 0, lcg.below(2) == 0);
+    let ext = FramingTuple::new(0xE0, 0, false);
+    let header = match kind {
+        0 => ChunkHeader::control(ChunkType::ErrorDetection, 8, conn, tpdu, ext),
+        1 => ChunkHeader::control(ChunkType::Ack, 8 + lcg.below(48) as u16, conn, tpdu, ext),
+        _ => {
+            let size = [1u16, 2, 4][lcg.below(3)];
+            let len = 1 + lcg.below(max_len) as u32;
+            ChunkHeader::data(size, len, conn, tpdu, ext)
+        }
+    };
+    let payload: Vec<u8> = (0..header.payload_len())
+        .map(|_| lcg.next() as u8)
+        .collect();
+    Chunk::new(header, payload.into()).expect("consistent chunk")
+}
+
+/// A seeded run of `n` chunks, mostly data, some ED and ack chunks.
+fn chunk_run(lcg: &mut Lcg, n: usize, max_len: usize) -> Vec<Chunk> {
+    (0..n)
+        .map(|_| {
+            let kind = lcg.below(6);
+            seeded_chunk(lcg, kind, max_len)
+        })
+        .collect()
+}
+
+/// The chunks of `pack(chunks)`, as unpacking its packets yields them.
+fn repacked(chunks: &[Chunk], mtu: usize) -> Vec<Chunk> {
+    pack(chunks.to_vec(), mtu)
+        .unwrap()
+        .iter()
+        .flat_map(|p| unpack(p).unwrap())
+        .collect()
 }
 
 fn digest_of(chunks: &[Chunk]) -> [u8; 8] {
@@ -293,6 +338,65 @@ proptest! {
         prop_assert_eq!(arena.covered(), 0);
         prop_assert_eq!(arena.insert(3, 9), 0, "clean insert overlaps nothing");
         prop_assert_eq!(arena.covered(), 6);
+    }
+
+    #[test]
+    fn packing_a_repacked_prefix_equals_packing_once(
+        seed in any::<u64>(),
+        mtu in 96usize..1500,
+        head in 1usize..24,
+        tail in 0usize..24,
+    ) {
+        // Greedy first-fit with one open packet is streaming: the pieces of
+        // `pack(a)` rebuild its packets and leave the same packet open, so
+        // whatever follows lands exactly where it would have.
+        let mut lcg = Lcg(seed);
+        let a = chunk_run(&mut lcg, head, 700);
+        let c = chunk_run(&mut lcg, tail, 700);
+        let once = pack(a.iter().chain(&c).cloned(), mtu).unwrap();
+        let old = pack(repacked(&a, mtu).into_iter().chain(c), mtu).unwrap();
+        prop_assert_eq!(once, old);
+    }
+
+    #[test]
+    fn packing_once_equals_pack_unpack_repack_of_each_segment(
+        seed in any::<u64>(),
+        mtu in 96usize..1500,
+        head in 1usize..24,
+        segments in 0usize..6,
+    ) {
+        // A transmit batch as the session builds it: a first segment (the
+        // pending window or an ack-driven repair, any size), then timer
+        // retransmissions of one TPDU each, then the ack. Packing each
+        // segment, unpacking it and repacking the lot gives the packets of
+        // packing everything once — provided every later segment fits one
+        // packet, as a TPDU no larger than the MTU does. (A later segment
+        // that `pack` must split can be cut differently once it starts in a
+        // partly filled packet; packing once never adds those cuts.)
+        let mut lcg = Lcg(seed);
+        let first = chunk_run(&mut lcg, head, 700);
+        // Data of at most `room` 4-byte elements plus its ED chunk fit one
+        // packet.
+        let room = (mtu - 2 * 32 - 8) / 4;
+        let later: Vec<Vec<Chunk>> = (0..segments)
+            .map(|_| vec![seeded_chunk(&mut lcg, 2, room), seeded_chunk(&mut lcg, 0, 0)])
+            .collect();
+        for segment in &later {
+            prop_assert_eq!(pack(segment.clone(), mtu).unwrap().len(), 1);
+        }
+        let ack = seeded_chunk(&mut lcg, 1, 0);
+
+        let once = pack(
+            first.iter().chain(later.iter().flatten()).chain([&ack]).cloned(),
+            mtu,
+        )
+        .unwrap();
+        let mut old_queue = repacked(&first, mtu);
+        for segment in &later {
+            old_queue.extend(repacked(segment, mtu));
+        }
+        old_queue.push(ack);
+        prop_assert_eq!(once, pack(old_queue, mtu).unwrap());
     }
 
     #[test]

@@ -1,66 +1,103 @@
 //! A counting global allocator for the hot-path allocation tests.
 //!
-//! The wrapper delegates every call to the [`System`] allocator and bumps
-//! relaxed atomic counters. A test binary opts in with
+//! The wrapper delegates every call to the [`System`] allocator. Counting is
+//! thread-scoped: a thread counts its own allocations, and only while it
+//! has counting [`arm`]ed. A test binary opts in with
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static ALLOC: common::alloc_counter::CountingAllocator = CountingAllocator;
 //! ```
 //!
-//! and then brackets the code under test with [`assert_no_alloc!`] (or takes
-//! manual [`snapshot`]s for allocs-per-chunk arithmetic). Counters are
-//! process-wide, so tests that measure must run single-threaded or accept
-//! other threads' traffic; the hot-path tests use the virtual parallel
-//! engine precisely so the measured window has exactly one thread running.
+//! and then brackets the code under test with [`assert_no_alloc!`] (which
+//! arms itself), or arms a window and takes manual [`snapshot`]s for
+//! allocs-per-chunk arithmetic. Because the counters belong to the
+//! measuring thread, tests that the harness runs concurrently cannot leak
+//! allocations into each other's windows. The flip side: work a measured
+//! window hands to another thread is not counted, so the hot-path tests
+//! drive the *virtual* parallel engine, which keeps every measured window
+//! on the one thread that measures it.
 
 #![allow(dead_code)]
 // The workspace denies `unsafe_code`; a `GlobalAlloc` impl is the one place
 // the allocation tests cannot avoid it. The impl only forwards to `System`
-// and bumps atomics — no pointer arithmetic of its own.
+// and bumps thread-local counters — no pointer arithmetic of its own.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Heap allocations observed since process start (alloc + realloc +
-/// alloc_zeroed).
-pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Heap frees observed since process start.
-pub static FREES: AtomicU64 = AtomicU64::new(0);
-/// Bytes requested across all allocations.
-pub static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is counting. `const`-initialised thread locals
+    /// never allocate on first access, so the allocator may read them.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// This thread's heap allocations while armed (alloc + realloc +
+    /// alloc_zeroed).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// This thread's heap frees while armed.
+    static FREES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested across this thread's armed allocations.
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// `System`, with every entry point counted.
+/// Bumps `counter` (and `bytes`, when given) if this thread is armed. A
+/// thread being torn down has no thread locals left; it counts nothing.
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>, bytes: Option<usize>) {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = counter.try_with(|c| c.set(c.get() + 1));
+        if let Some(bytes) = bytes {
+            let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+        }
+    }
+}
+
+/// `System`, with every entry point counted on armed threads.
 pub struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(&ALLOCS, Some(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(&ALLOCS, Some(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place still counts: the steady state must not even ask.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(&ALLOCS, Some(new_size));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
+        count(&FREES, None);
         System.dealloc(ptr, layout)
     }
 }
 
-/// A point-in-time reading of the counters.
+/// Counting on the current thread, until dropped. Nests: dropping restores
+/// whatever the thread had before.
+#[must_use = "counting stops when the guard drops"]
+pub struct Armed {
+    was: bool,
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        ARMED.set(self.was);
+    }
+}
+
+/// Arms counting on the current thread until the returned guard drops.
+pub fn arm() -> Armed {
+    Armed {
+        was: ARMED.replace(true),
+    }
+}
+
+/// A point-in-time reading of the current thread's counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Allocation count at the snapshot.
@@ -71,12 +108,12 @@ pub struct Snapshot {
     pub bytes: u64,
 }
 
-/// Reads the counters.
+/// Reads the current thread's counters.
 pub fn snapshot() -> Snapshot {
     Snapshot {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        frees: FREES.load(Ordering::Relaxed),
-        bytes: ALLOC_BYTES.load(Ordering::Relaxed),
+        allocs: ALLOCS.get(),
+        frees: FREES.get(),
+        bytes: ALLOC_BYTES.get(),
     }
 }
 
@@ -85,9 +122,9 @@ pub fn delta(before: Snapshot, after: Snapshot) -> (u64, u64) {
     (after.allocs - before.allocs, after.bytes - before.bytes)
 }
 
-/// Runs a block and asserts it performed **zero** heap allocations,
-/// returning the block's value. The optional trailing arguments format a
-/// context message on failure.
+/// Runs a block and asserts it performed **zero** heap allocations on this
+/// thread, returning the block's value. The optional trailing arguments
+/// format a context message on failure.
 ///
 /// ```ignore
 /// let acked = assert_no_alloc!(rx.ingest_batch(&packets, now, &mut out));
@@ -99,9 +136,11 @@ macro_rules! assert_no_alloc {
         $crate::assert_no_alloc!($body, "steady state must not allocate")
     };
     ($body:expr, $($ctx:tt)+) => {{
+        let armed = $crate::common::alloc_counter::arm();
         let before = $crate::common::alloc_counter::snapshot();
         let value = $body;
         let after = $crate::common::alloc_counter::snapshot();
+        drop(armed);
         let (allocs, bytes) = $crate::common::alloc_counter::delta(before, after);
         assert_eq!(
             allocs,

@@ -5,14 +5,15 @@
 //! pool, slab, map and buffer reaches working size (plus an explicit
 //! `reserve` for the load that follows), then the measured phase replays the
 //! rest of the stream under [`assert_no_alloc!`]. The counting allocator
-//! wraps `System` process-wide; the parallel leg runs the *virtual* engine
+//! wraps `System` and counts per thread, only inside armed windows, so the
+//! tests may run concurrently; the parallel leg runs the *virtual* engine
 //! so exactly one thread executes inside the measured window.
 
 mod common;
 
 use chunks::transport::{
-    ConnSpec, ConnectionParams, DeliveryMode, Engine, ParallelReceiver, Receiver, Schedule, Sender,
-    SenderConfig,
+    ConnSpec, ConnectionParams, DeliveryMode, Engine, Framer, ParallelReceiver, Receiver, Schedule,
+    Sender, SenderConfig,
 };
 use chunks::wsc::InvariantLayout;
 use chunks_core::packet::Packet;
@@ -94,6 +95,7 @@ fn serial_receive_steady_state_is_allocation_free() {
     // Steady state: every remaining batch must touch the heap zero times.
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
+    let armed = alloc_counter::arm();
     let before = alloc_counter::snapshot();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
@@ -102,6 +104,7 @@ fn serial_receive_steady_state_is_allocation_free() {
         );
     }
     let after = alloc_counter::snapshot();
+    drop(armed);
     let (allocs, _) = alloc_counter::delta(before, after);
     assert_eq!(allocs, 0, "allocs/chunk must be 0/{measured_chunks}");
     assert!(measured_chunks > 100, "measured window too small to matter");
@@ -141,6 +144,7 @@ fn serial_receive_with_always_on_obs_is_allocation_free() {
 
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
+    let armed = alloc_counter::arm();
     let before = alloc_counter::snapshot();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
@@ -149,6 +153,7 @@ fn serial_receive_with_always_on_obs_is_allocation_free() {
         );
     }
     let after = alloc_counter::snapshot();
+    drop(armed);
     let (allocs, _) = alloc_counter::delta(before, after);
     assert_eq!(allocs, 0, "obs-on allocs/chunk must be 0/{measured_chunks}");
 
@@ -157,6 +162,44 @@ fn serial_receive_with_always_on_obs_is_allocation_free() {
     let snap = sink.snapshot();
     assert!(snap.counter("transport.rx.chunks_accepted") > 0);
     assert!(snap.counter("transport.rx.tpdus_delivered") > 0);
+}
+
+#[test]
+fn ack_cost_stays_flat_as_an_in_order_stream_grows() {
+    // The ack's cumulative point and SACK list are kept as TPDUs deliver,
+    // so building an ack costs the same at the 16th TPDU as at the 512th.
+    let message: Vec<u8> = (0..MESSAGE_LEN).map(|i| i as u8).collect();
+    let tpdus = Framer::new(params(1), layout()).frame_simple(&message, 1, false);
+    let mut rx = Receiver::new(
+        DeliveryMode::Immediate,
+        params(1),
+        layout(),
+        capacity_elements(),
+    );
+    // One entry per delivered TPDU: (cumulative point, bytes allocated).
+    let mut acks: Vec<(u64, u64)> = Vec::new();
+    for t in &tpdus {
+        for chunk in t.all_chunks() {
+            rx.handle_chunk(chunk, 0);
+        }
+        // The TPDU just verified: no group is open, nothing is missing.
+        let armed = alloc_counter::arm();
+        let before = alloc_counter::snapshot();
+        let ack = rx.make_ack();
+        let after = alloc_counter::snapshot();
+        drop(armed);
+        acks.push((ack.cumulative, alloc_counter::delta(before, after).1));
+    }
+    assert_eq!(acks.len(), MESSAGE_LEN / TPDU_ELEMENTS as usize);
+    assert_eq!(acks.last().unwrap().0, MESSAGE_LEN as u64);
+    let first = acks[15].1;
+    for (i, &(cumulative, bytes)) in acks.iter().enumerate().skip(16) {
+        assert_eq!(
+            bytes, first,
+            "ack after TPDU {i} (cumulative {cumulative}) allocated {bytes} B, \
+             after TPDU 15 {first} B"
+        );
+    }
 }
 
 /// Round-robin interleave of the three connections' streams, as a shared
@@ -205,6 +248,7 @@ fn parallel_receive_steady_state_is_allocation_free() {
 
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
+    let armed = alloc_counter::arm();
     let before = alloc_counter::snapshot();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
@@ -216,6 +260,7 @@ fn parallel_receive_steady_state_is_allocation_free() {
         );
     }
     let after = alloc_counter::snapshot();
+    drop(armed);
     let (allocs, _) = alloc_counter::delta(before, after);
     assert_eq!(allocs, 0, "allocs/chunk must be 0/{measured_chunks}");
     assert!(measured_chunks > 100, "measured window too small to matter");
@@ -268,6 +313,7 @@ fn parallel_receive_with_always_on_obs_is_allocation_free() {
 
     let measured = &packets[warmup..];
     let measured_chunks = chunk_count(measured);
+    let armed = alloc_counter::arm();
     let before = alloc_counter::snapshot();
     for (i, batch) in measured.chunks(BATCH).enumerate() {
         assert_no_alloc!(
@@ -279,6 +325,7 @@ fn parallel_receive_with_always_on_obs_is_allocation_free() {
         );
     }
     let after = alloc_counter::snapshot();
+    drop(armed);
     let (allocs, _) = alloc_counter::delta(before, after);
     assert_eq!(allocs, 0, "obs-on allocs/chunk must be 0/{measured_chunks}");
 
