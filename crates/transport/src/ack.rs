@@ -42,6 +42,12 @@ impl AckInfo {
         end <= self.cumulative || self.sacks.contains(&start)
     }
 
+    /// True when the ack reports anything beyond its cumulative point and
+    /// pressure flag: SACKs, gaps or missing EDs.
+    pub fn has_open_items(&self) -> bool {
+        !(self.sacks.is_empty() && self.gaps.is_empty() && self.need_ed.is_empty())
+    }
+
     /// Bytes [`Self::encode`] produces: the fixed fields (cumulative point,
     /// three list counts, pressure flag) plus 8 bytes per SACK or need-ED
     /// start and 16 per gap.

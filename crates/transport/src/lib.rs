@@ -24,6 +24,9 @@
 //!   virtual-clock RTO estimation (Jacobson SRTT/RTTVAR, Karn's rule),
 //!   exponential backoff, bounded retry budgets, and the typed dead-peer
 //!   verdict that replaces an ack-loss deadlock;
+//! * [`pacing`] — the reliability layer's two thrift rules: ack-driven
+//!   repair paced by the minimum RTT (each ack repairs each TPDU at most
+//!   once, and only what it could have seen), and acks sent only on news;
 //! * [`parallel`] — the order-free parallel receive pipeline: arriving
 //!   chunks fan out to shard-per-worker receivers by connection label, with
 //!   a merge stage that folds per-worker verification transcripts; provably
@@ -70,6 +73,7 @@ pub mod conn;
 pub mod frame;
 pub mod mtu;
 pub mod mux;
+pub mod pacing;
 pub mod parallel;
 pub mod receiver;
 pub mod rto;
@@ -84,6 +88,7 @@ pub use conn::{ConnectionParams, Signal};
 pub use frame::{AlfFrame, Framer, Tpdu};
 pub use mtu::MtuProbe;
 pub use mux::{ConnectionDemux, DemuxEvent, PacketMux};
+pub use pacing::{AckGate, RepairPacer, Served};
 pub use parallel::{
     shard_of, ConnSpec, ControlEvent, ControlKind, DispatchStats, Engine, ParallelOutcome,
     ParallelReceiver, Schedule, StageTimings, SyncSnapshot,

@@ -235,6 +235,9 @@ pub struct Receiver {
     /// as it stays in `delivered`.
     ahead: Vec<(u64, u64)>,
     closed: bool,
+    /// Data and ED chunks taken so far, whatever became of them (accepted,
+    /// duplicate or discarded): [`Self::chunks_taken`].
+    taken: u64,
     /// Differential-test oracle: when set, `handle_packet` decodes through
     /// the pre-refactor owned path (`unpack`, one payload copy per chunk)
     /// instead of the zero-copy span walk. Behaviour must be identical —
@@ -321,6 +324,7 @@ impl Receiver {
             prefix: 0,
             ahead: Vec::new(),
             closed: false,
+            taken: 0,
             legacy_owned: false,
             stats: RxStats::default(),
             obs: chunks_obs::null(),
@@ -624,8 +628,14 @@ impl Receiver {
 
     fn chunk_inner(&mut self, chunk: Chunk, now: u64, out: &mut Vec<RxEvent>) {
         match chunk.header.ty {
-            ChunkType::Data => self.handle_data(chunk, now, out),
-            ChunkType::ErrorDetection => self.handle_ed(chunk, now, out),
+            ChunkType::Data => {
+                self.taken += 1;
+                self.handle_data(chunk, now, out)
+            }
+            ChunkType::ErrorDetection => {
+                self.taken += 1;
+                self.handle_ed(chunk, now, out)
+            }
             ChunkType::Signal => match Signal::from_chunk(&chunk) {
                 Ok(s) => out.push(RxEvent::Signalled(s)),
                 Err(_) => {
@@ -1414,6 +1424,13 @@ impl Receiver {
             need_ed,
             pressure: self.under_pressure(),
         }
+    }
+
+    /// Data and ED chunks taken since the receiver was created, whatever
+    /// became of each (accepted, duplicate or discarded). A change since
+    /// the last ack means the sender has news to hear about.
+    pub fn chunks_taken(&self) -> u64 {
+        self.taken
     }
 
     /// True when occupancy stands at or above 3/4 of any configured cap —

@@ -16,7 +16,13 @@
 //! * **bounded retry budget**: after [`RtoConfig::max_retries`] timer-driven
 //!   retransmissions a TPDU is *exhausted* — the caller either sheds it
 //!   (graceful degradation: drop the TPDU, keep the window moving) or
-//!   surfaces [`TransportError::PeerUnreachable`] instead of hanging.
+//!   surfaces [`TransportError::PeerUnreachable`] instead of hanging;
+//! * **minimum-RTT repair pacing**: the smallest Karn-clean RTT sample
+//!   bounds how soon an ack can reflect a transmission, so ack-driven
+//!   repair leaves a TPDU alone until its last transmission is at least
+//!   that old ([`RetransmitTimer::old_enough`]), and an ack never answers
+//!   for a transmission made after it arrived
+//!   ([`RetransmitTimer::sent_by`]).
 //!
 //! Everything is driven by the caller's clock (`now` in nanoseconds of
 //! virtual time), so every schedule is exactly reproducible — the property
@@ -141,6 +147,8 @@ impl Default for RtoConfig {
 struct Entry {
     /// When the TPDU (or its latest retransmission) went out.
     sent_at: u64,
+    /// [`RetransmitTimer::send_mark`] right after that transmission.
+    sent_mark: u32,
     /// When the timer fires.
     expires_at: u64,
     /// When the TPDU was *first* sent (for the verdict's elapsed time).
@@ -178,6 +186,12 @@ pub struct RetransmitTimer {
     srtt_ns: Option<u64>,
     /// RTT variance estimate.
     rttvar_ns: u64,
+    /// Smallest Karn-clean RTT sample, `None` until the first sample.
+    min_rtt_ns: Option<u64>,
+    /// Transmissions recorded so far (first sends, ack-driven repairs and
+    /// timer retransmissions alike), wrapping: the clock-free order of
+    /// sends. 32 bits keep [`Entry`] at 40 bytes.
+    sends: u32,
     /// Armed TPDUs by connection-space start.
     entries: BTreeMap<u64, Entry>,
     /// Timer fires observed (monotonic counter, for stats).
@@ -193,6 +207,8 @@ impl RetransmitTimer {
             cfg,
             srtt_ns: None,
             rttvar_ns: 0,
+            min_rtt_ns: None,
+            sends: 0,
             entries: BTreeMap::new(),
             fires: 0,
             samples: 0,
@@ -213,6 +229,40 @@ impl RetransmitTimer {
                 (srtt + 4 * self.rttvar_ns).clamp(self.cfg.min_rto_ns, self.cfg.max_rto_ns)
             }
         }
+    }
+
+    /// The smallest Karn-clean RTT sample: no ack can reflect a
+    /// transmission sooner than this. Before the first sample it is
+    /// [`RtoConfig::initial_rto_ns`].
+    pub fn min_rtt_ns(&self) -> u64 {
+        self.min_rtt_ns.unwrap_or(self.cfg.initial_rto_ns)
+    }
+
+    /// True when the armed TPDU at `start` last went out at least
+    /// [`Self::min_rtt_ns`] before `now`, so an ack arriving now could
+    /// reflect that transmission. False for a TPDU that is not armed.
+    pub fn old_enough(&self, start: u64, now: u64) -> bool {
+        self.entries
+            .get(&start)
+            .is_some_and(|e| now.saturating_sub(e.sent_at) >= self.min_rtt_ns())
+    }
+
+    /// A mark in the order of transmissions: every send recorded after
+    /// this call is later than the mark.
+    pub fn send_mark(&self) -> u32 {
+        self.sends
+    }
+
+    /// True when the armed TPDU at `start` last went out no later than
+    /// `mark` (from [`Self::send_mark`]). An ack that arrived at the mark
+    /// can speak only for such a transmission. False for a TPDU that is not
+    /// armed. Marks compare in serial-number arithmetic (RFC 1982), so the
+    /// answer holds across the counter's wrap for any mark fewer than 2^31
+    /// sends old.
+    pub fn sent_by(&self, start: u64, mark: u32) -> bool {
+        self.entries
+            .get(&start)
+            .is_some_and(|e| mark.wrapping_sub(e.sent_mark) < 1 << 31)
     }
 
     /// The RTO a given TPDU is currently running under (base shifted by its
@@ -239,8 +289,11 @@ impl RetransmitTimer {
             .map(|e| e.backoff)
             .unwrap_or_default();
         let rto = self.backed_off(backoff);
+        self.sends = self.sends.wrapping_add(1);
+        let sent_mark = self.sends;
         let entry = self.entries.entry(start).or_insert(Entry {
             sent_at: now,
+            sent_mark,
             expires_at: now + rto,
             first_sent_at: now,
             retries: 0,
@@ -248,6 +301,7 @@ impl RetransmitTimer {
             retransmitted: retransmission,
         });
         entry.sent_at = now;
+        entry.sent_mark = sent_mark;
         entry.expires_at = now + rto;
         entry.retransmitted |= retransmission;
     }
@@ -265,6 +319,7 @@ impl RetransmitTimer {
 
     fn absorb_sample(&mut self, rtt_ns: u64) {
         self.samples += 1;
+        self.min_rtt_ns = Some(self.min_rtt_ns.map_or(rtt_ns, |m| m.min(rtt_ns)));
         match self.srtt_ns {
             None => {
                 // First sample: SRTT = R, RTTVAR = R/2 (RFC 6298 §2.2).
@@ -347,12 +402,14 @@ impl RetransmitTimer {
                 continue;
             }
             self.fires += 1;
+            self.sends = self.sends.wrapping_add(1);
             let rto = self.backed_off(snap.backoff + 1);
             let e = self.entries.get_mut(&start).expect("collected above");
             e.retries += 1;
             e.backoff += 1;
             e.retransmitted = true;
             e.sent_at = now;
+            e.sent_mark = self.sends;
             e.expires_at = now + rto;
             verdicts.push(TimerVerdict::Retransmit(start));
         }
@@ -454,6 +511,80 @@ mod tests {
         t.forget(8);
         assert!(t.armed().is_empty());
         assert!(t.poll(10_000).is_empty());
+    }
+
+    #[test]
+    fn min_rtt_absorbs_only_karn_clean_samples() {
+        let mut t = timer();
+        t.on_send(0, 0, false);
+        t.on_ack(0, 400);
+        assert_eq!(t.min_rtt_ns(), 400);
+        // A retransmitted TPDU's ack is ambiguous: even a tiny apparent RTT
+        // must not lower the minimum.
+        t.on_send(8, 1000, false);
+        t.on_send(8, 1300, true);
+        t.on_ack(8, 1310);
+        assert_eq!(t.min_rtt_ns(), 400);
+        // A timer-retransmitted one is no better.
+        t.on_send(16, 2000, false);
+        assert_eq!(t.poll(3500), vec![TimerVerdict::Retransmit(16)]);
+        t.on_ack(16, 3505);
+        assert_eq!(t.min_rtt_ns(), 400);
+        // A clean, smaller sample does lower it; a larger one does not.
+        t.on_send(24, 4000, false);
+        t.on_ack(24, 4250);
+        t.on_send(32, 5000, false);
+        t.on_ack(32, 5900);
+        assert_eq!(t.min_rtt_ns(), 250);
+        assert_eq!(t.samples, 3);
+    }
+
+    #[test]
+    fn eligibility_boundary_sits_at_exactly_min_rtt() {
+        let mut t = timer();
+        t.on_send(0, 0, false);
+        t.on_ack(0, 300); // min RTT 300
+        t.on_send(8, 1000, false);
+        assert!(!t.old_enough(8, 1299));
+        assert!(t.old_enough(8, 1300));
+        // A retransmission restarts the age from its own send time.
+        t.on_send(8, 1300, true);
+        assert!(!t.old_enough(8, 1599));
+        assert!(t.old_enough(8, 1600));
+        // Nothing armed, nothing to judge.
+        assert!(!t.old_enough(99, u64::MAX));
+    }
+
+    #[test]
+    fn eligibility_uses_the_initial_rto_before_any_sample() {
+        let mut t = timer();
+        assert_eq!(t.min_rtt_ns(), 1000, "the initial RTO");
+        t.on_send(0, 500, false);
+        assert!(!t.old_enough(0, 1499));
+        assert!(t.old_enough(0, 1500));
+    }
+
+    #[test]
+    fn send_marks_order_transmissions_without_a_clock() {
+        let mut t = timer();
+        t.on_send(0, 7, false);
+        let mark = t.send_mark();
+        t.on_send(8, 7, false); // same instant, but after the mark
+        assert!(t.sent_by(0, mark));
+        assert!(!t.sent_by(8, mark));
+        // A timer retransmission moves the TPDU past the mark too.
+        t.poll(1007);
+        assert!(!t.sent_by(0, mark));
+        assert!(!t.sent_by(99, mark), "not armed");
+        // Serial-number comparison survives the counter's wrap.
+        t.sends = u32::MAX - 1;
+        t.on_send(16, 2000, false);
+        let mark = t.send_mark();
+        t.on_send(24, 2000, false);
+        assert_eq!(t.send_mark(), 0);
+        assert!(t.sent_by(16, mark));
+        assert!(!t.sent_by(24, mark));
+        assert!(t.sent_by(16, t.send_mark()));
     }
 
     #[test]

@@ -108,16 +108,25 @@ impl Sender {
         )
     }
 
-    /// The chunks of every pending TPDU, in connection-space order, each
-    /// TPDU's ED chunk after its data (the initial transmission or a full
-    /// retransmission pass). The chunks share the TPDUs' payloads.
-    pub fn pending_chunks(&self) -> impl Iterator<Item = Chunk> + '_ {
-        self.pending.values().flat_map(Tpdu::all_chunks)
+    /// The chunks of the pending TPDUs starting at or after `from`, in
+    /// connection-space order, each TPDU's ED chunk after its data — with
+    /// `from` the first start [`Self::submit`] returned, the first
+    /// transmission of what it framed. The chunks share the TPDUs'
+    /// payloads.
+    pub fn pending_chunks_from(&self, from: u64) -> impl Iterator<Item = Chunk> + '_ {
+        self.pending.range(from..).flat_map(|(_, t)| t.all_chunks())
     }
 
-    /// [`Self::pending_chunks`] packed for the path MTU.
+    /// Starts of the pending TPDUs at or after `from`, in order.
+    pub fn pending_starts_from(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
+        self.pending.range(from..).map(|(&s, _)| s)
+    }
+
+    /// Every pending TPDU's chunks ([`Self::pending_chunks_from`] `0`)
+    /// packed for the path MTU: the initial transmission or a full
+    /// retransmission pass.
     pub fn packets_for_pending(&self) -> Result<Vec<Packet>, CoreError> {
-        pack(self.pending_chunks(), self.cfg.mtu)
+        pack(self.pending_chunks_from(0), self.cfg.mtu)
     }
 
     /// The chunks that retransmit the pending TPDUs named by `starts` —
@@ -203,29 +212,36 @@ impl Sender {
         ack: &crate::ack::AckInfo,
         max_tpdus: usize,
     ) -> Result<Vec<Packet>, CoreError> {
-        self.retransmit_for_ack_parts(ack, max_tpdus)
+        self.retransmit_for_ack_parts(ack, max_tpdus, |_| true)
             .map(|(packets, _)| packets)
     }
 
-    /// [`Self::retransmit_for_ack_limited`], also reporting which TPDU
-    /// starts were repaired (so the reliability layer can re-arm their
-    /// retransmission timers).
+    /// [`Self::repair_chunks`] packed for the path MTU, also reporting
+    /// which TPDU starts were repaired (so the reliability layer can re-arm
+    /// their retransmission timers).
     pub fn retransmit_for_ack_parts(
         &mut self,
         ack: &crate::ack::AckInfo,
         max_tpdus: usize,
+        ready: impl FnMut(u64) -> bool,
     ) -> Result<(Vec<Packet>, Vec<u64>), CoreError> {
-        let (chunks, repaired) = self.repair_chunks(ack, max_tpdus)?;
+        let (chunks, repaired) = self.repair_chunks(ack, max_tpdus, ready)?;
         Ok((pack(chunks, self.cfg.mtu)?, repaired))
     }
 
     /// The chunks that answer a receiver report, and the starts of the TPDUs
     /// they repair (at most `max_tpdus`, in connection-space order): see
     /// [`Self::retransmit_for_ack`] for what each unacknowledged TPDU gets.
+    ///
+    /// `ready` gates each unacknowledged TPDU: one it refuses is left for a
+    /// later pass and does not count against `max_tpdus`. The reliability
+    /// layer uses it to leave alone a TPDU whose last transmission the
+    /// report cannot reflect yet.
     pub fn repair_chunks(
         &mut self,
         ack: &crate::ack::AckInfo,
         max_tpdus: usize,
+        mut ready: impl FnMut(u64) -> bool,
     ) -> Result<(Vec<Chunk>, Vec<u64>), CoreError> {
         let mut chunks = Vec::new();
         let mut repaired: Vec<u64> = Vec::new();
@@ -234,8 +250,8 @@ impl Sender {
                 break;
             }
             let end = start + tpdu.elements as u64;
-            if ack.acknowledges(start, end) {
-                continue; // acknowledged, nothing to repair
+            if ack.acknowledges(start, end) || !ready(start) {
+                continue; // acknowledged, or not to be repaired yet
             }
             repaired.push(start);
             if ack.need_ed.contains(&start) {

@@ -16,9 +16,9 @@ use chunks_obs::{
     Event, HealthEvent, HealthReport, Labels, ObsSink, SpanId, Stage, Watchdog, WatchdogConfig,
 };
 
-use crate::ack::AckInfo;
 use crate::conn::ConnectionParams;
 use crate::mux::PacketMux;
+use crate::pacing::{AckGate, RepairPacer, Served};
 use crate::receiver::{DeliveryMode, Receiver, RxEvent};
 use crate::rto::{DegradePolicy, RetransmitTimer, RtoConfig, TimerVerdict, TransportError};
 use crate::sender::{Sender, SenderConfig};
@@ -82,10 +82,14 @@ pub struct Session {
     /// with data; kept across batches so its buffers stay warm.
     mux: PacketMux,
     local_conn: u32,
-    /// Last ack received for our outbound stream, pending a repair pass.
-    inbound_ack: Option<AckInfo>,
-    /// Whether the first full transmission already happened.
-    transmitted_once: bool,
+    /// The newest ack received for our outbound stream, held until its
+    /// repairs have gone out.
+    repair: RepairPacer,
+    /// Decides whether the inbound stream's ack has news worth sending.
+    ack_gate: AckGate,
+    /// Start of the first TPDU framed by [`Self::send`] and not yet
+    /// transmitted; everything pending from there on is new.
+    unsent: Option<u64>,
     /// Timer-driven retransmission state (virtual clock).
     rto: RetransmitTimer,
     /// The session's virtual clock, advanced by [`Self::pump`] and
@@ -133,8 +137,9 @@ impl Session {
             local_conn: local.params.conn_id,
             tx: Sender::new(local),
             rx: Receiver::new(mode, remote, remote_layout, capacity_elements),
-            inbound_ack: None,
-            transmitted_once: false,
+            repair: RepairPacer::default(),
+            ack_gate: AckGate::default(),
+            unsent: None,
             rto: RetransmitTimer::new(RtoConfig::default()),
             clock: 0,
             backlog: VecDeque::new(),
@@ -251,11 +256,13 @@ impl Session {
         self
     }
 
-    /// Queues application data on the outbound stream.
+    /// Queues application data on the outbound stream. The next batch
+    /// carries its first transmission; TPDUs already sent are left to
+    /// ack-driven repair and the timer.
     pub fn send(&mut self, data: &[u8], x_id: u32, close: bool) {
-        self.tx.submit_simple(data, x_id, close);
-        // New data means the window must go out (again).
-        self.transmitted_once = false;
+        if let Some(&first) = self.tx.submit_simple(data, x_id, close).first() {
+            self.unsent.get_or_insert(first);
+        }
     }
 
     /// The inbound application data received and verified so far.
@@ -293,11 +300,14 @@ impl Session {
     }
 
     /// Builds the next batch of packets to put on the wire: outbound data
-    /// (initial transmission, or a selective repair driven by the last ack
-    /// we received) with the current inbound ack piggybacked onto it.
+    /// (first transmission of newly sent data, and the selective repair the
+    /// newest ack asks for) with the inbound ack piggybacked onto it when
+    /// it has news ([`AckGate`]).
     ///
     /// This is the purely reactive half of the sender — lost acks stall it.
-    /// Timer-driven recovery lives in [`Self::pump`].
+    /// It has no clock of its own, so the held ack's repairs go out at once
+    /// instead of being paced by the minimum RTT ([`RepairPacer`]).
+    /// Timer-driven recovery and pacing live in [`Self::pump`].
     pub fn poll_transmit(&mut self) -> Result<Vec<Packet>, CoreError> {
         match self.emit(false) {
             Ok(packets) => Ok(packets),
@@ -309,7 +319,9 @@ impl Session {
     /// Advances the virtual clock to `now` and builds the next batch of
     /// packets: everything [`Self::poll_transmit`] does *plus* timer-driven
     /// retransmission of unacked TPDUs whose RTO expired (identical labels,
-    /// §3.3). When a TPDU's retry budget empties, the configured
+    /// §3.3). Ack-driven repair is paced: a TPDU sent less than the minimum
+    /// RTT ago waits for a later pump, since no ack can reflect that
+    /// transmission yet. When a TPDU's retry budget empties, the configured
     /// [`DegradePolicy`] decides between shedding it (the window keeps
     /// moving; see [`ReliabilityStats::shed_tpdus`]) and the sticky
     /// [`TransportError::PeerUnreachable`] verdict.
@@ -333,10 +345,11 @@ impl Session {
         self.emit(true)
     }
 
-    /// Builds one batch: every chunk this call sends — the first
-    /// transmission or the ack-driven repair, the timer retransmissions,
-    /// and the inbound ack — goes into the session's [`PacketMux`] and is
-    /// packed exactly once, so acks share packets with data.
+    /// Builds one batch: every chunk this call sends — the ack-driven
+    /// repair, the first transmission of new data, the timer
+    /// retransmissions, and the inbound ack — goes into the session's
+    /// [`PacketMux`] and is packed exactly once, so acks share packets with
+    /// data.
     fn emit(&mut self, timers: bool) -> Result<Vec<Packet>, TransportError> {
         let now = self.clock;
         // A call that failed part-way must not leak its chunks into this
@@ -346,29 +359,28 @@ impl Session {
         // retransmission (ambiguous for RTT sampling — Karn's rule).
         let mut sent: Vec<(u64, bool)> = Vec::new();
 
-        if !self.transmitted_once {
-            self.transmitted_once = true;
-            self.mux.enqueue_chunks(self.tx.pending_chunks());
-            for s in self.tx.unacked_starts() {
-                // A TPDU that was already armed is going out again.
-                let again = self.rto.rto_for(s).is_some();
-                sent.push((s, again));
-            }
-        } else if let Some(ack) = self.inbound_ack.take() {
-            self.tx.handle_ack(&ack);
-            if ack.pressure {
-                // The peer's budget is near exhaustion: a repair pass now
-                // would only feed bytes to the shedder. Defer it; the next
-                // unpressured ack re-triggers selective repair.
+        let (tx, mux, limit) = (&mut self.tx, &mut self.mux, self.repair_limit_tpdus);
+        let paced = timers.then_some(now);
+        let served = self.repair.serve(&self.rto, paced, limit, |ack, ready| {
+            let (chunks, repaired) = tx.repair_chunks(ack, limit, ready)?;
+            mux.enqueue_chunks(chunks);
+            Ok(((), repaired))
+        })?;
+        match served {
+            Served::Idle => {}
+            Served::Pressured => {
                 self.stats.pressure_deferrals += 1;
                 if self.obs_on {
                     self.obs.counter("transport.session.pressure_deferrals", 1);
                 }
-            } else {
-                let (chunks, repaired) = self.tx.repair_chunks(&ack, self.repair_limit_tpdus)?;
-                self.mux.enqueue_chunks(chunks);
+            }
+            Served::Repaired((), repaired) => {
                 sent.extend(repaired.into_iter().map(|s| (s, true)));
             }
+        }
+        if let Some(from) = self.unsent.take() {
+            self.mux.enqueue_chunks(self.tx.pending_chunks_from(from));
+            sent.extend(self.tx.pending_starts_from(from).map(|s| (s, false)));
         }
 
         if timers && self.peer_pressure {
@@ -505,19 +517,28 @@ impl Session {
             self.rto.on_send(s, now, retransmission);
         }
 
-        // Piggyback the current state of the inbound stream. Failed groups
-        // are cleared so their retransmissions verify afresh.
+        // Piggyback the current state of the inbound stream when it has
+        // news. Failed groups are cleared so their retransmissions verify
+        // afresh.
         for s in self.rx.failed_starts() {
             self.rx.reset_group(s);
         }
-        self.mux.enqueue_ack(self.local_conn, &self.rx.make_ack());
+        let ack = self.rx.make_ack();
+        let ack_news = self.ack_gate.has_news(&self.rx, &ack);
+        if ack_news {
+            self.mux.enqueue_ack(self.local_conn, &ack);
+        }
 
         // Burst cap: everything queues, at most `max_burst_packets` leave.
-        // A batch that fails to pack queues none of its packets.
+        // A batch that fails to pack queues none of its packets, its ack
+        // included.
         let queued = self.backlog.len();
         if let Err(e) = self.mux.flush_into(&mut self.backlog) {
             self.backlog.truncate(queued);
             return Err(e.into());
+        }
+        if ack_news {
+            self.ack_gate.sent(&self.rx, &ack);
         }
         let take = self.backlog.len().min(self.max_burst_packets);
         let out: Vec<Packet> = self.backlog.drain(..take).collect();
@@ -561,9 +582,9 @@ impl Session {
                             self.rto.samples - samples_before,
                         );
                     }
-                    // Remember it for the next repair pass too.
+                    // Hold it for the next repair pass too.
                     self.peer_pressure = ack.pressure;
-                    self.inbound_ack = Some(ack);
+                    self.repair.hold(ack, &self.rto);
                 }
                 other => app_events.push(other),
             }
@@ -589,8 +610,33 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ack::AckInfo;
     use chunks_core::label::ChunkType;
     use chunks_core::packet::unpack;
+
+    /// `(TPDU start, payload)` of every data chunk in a batch.
+    fn data_of(batch: &[Packet]) -> Vec<(u64, Vec<u8>)> {
+        batch
+            .iter()
+            .flat_map(|p| unpack(p).unwrap())
+            .filter(|c| c.header.ty == ChunkType::Data)
+            .map(|c| {
+                let start = c.header.conn.sn.wrapping_sub(c.header.tpdu.sn) as u64;
+                (start, c.payload.to_vec())
+            })
+            .collect()
+    }
+
+    /// A packet carrying nothing but a cumulative ack for connection 1.
+    fn ack_packet(cumulative: u64) -> Packet {
+        let mut mux = PacketMux::new(256);
+        let ack = AckInfo {
+            cumulative,
+            ..AckInfo::default()
+        };
+        mux.enqueue_ack(1, &ack);
+        mux.flush().unwrap().remove(0)
+    }
 
     fn params(conn_id: u32) -> ConnectionParams {
         ConnectionParams {
@@ -718,6 +764,112 @@ mod tests {
         assert!(rounds <= 3);
         assert_eq!(b.received_elements(), 100);
         assert!(a.outbound_done());
+    }
+
+    #[test]
+    fn a_pump_with_no_news_and_nothing_to_send_is_silent() {
+        let mut a = endpoint(1, 2);
+        let mut b = endpoint(2, 1);
+        a.send(&[5u8; 64], 0xA, false);
+        for p in a.pump(0).unwrap() {
+            b.handle_packet(&p, 100_000);
+        }
+        let acks = b.pump(100_000).unwrap();
+        assert_eq!(acks.len(), 1, "news is acked");
+        assert!(b.pump(120_000).unwrap().is_empty(), "no news, no ack");
+        for p in &acks {
+            a.handle_packet(p, 200_000);
+        }
+        assert!(a.outbound_done());
+        // A has taken no data and has nothing left to send: no empty ack
+        // and no repair either.
+        assert!(a.pump(220_000).unwrap().is_empty());
+        assert!(b.pump(240_000).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_second_send_transmits_only_the_new_data() {
+        let mut a = endpoint(1, 2);
+        a.send(&[0x11; 64], 0xA, false);
+        let first = data_of(&a.pump(0).unwrap());
+        assert_eq!(first.iter().map(|(_, d)| d.len()).sum::<usize>(), 64);
+        // One pump later, with the first message still in flight.
+        a.send(&[0x22; 32], 0xB, false);
+        let second = data_of(&a.pump(20_000).unwrap());
+        assert!(!second.is_empty());
+        for (start, payload) in &second {
+            assert_eq!(*start, 64, "only the new TPDU goes out");
+            assert!(payload.iter().all(|&b| b == 0x22));
+        }
+        assert_eq!(second.iter().map(|(_, d)| d.len()).sum::<usize>(), 32);
+    }
+
+    #[test]
+    fn ack_driven_repair_waits_for_the_minimum_rtt() {
+        let mut a = endpoint(1, 2);
+        a.send(&[1u8; 32], 0xA, false);
+        assert_eq!(data_of(&a.pump(0).unwrap()).len(), 1);
+        a.handle_packet(&ack_packet(32), 200_000);
+        assert_eq!(a.reliability().rtt_samples, 1, "min RTT is now 200 us");
+        // The next TPDU's first transmission is lost.
+        a.send(&[2u8; 32], 0xB, false);
+        assert_eq!(data_of(&a.pump(1_000_000).unwrap())[0].0, 32);
+        // An ack that could have seen it, and does not acknowledge it, asks
+        // for one repair.
+        a.handle_packet(&ack_packet(32), 1_250_000);
+        let repair = data_of(&a.pump(1_250_000).unwrap());
+        assert_eq!(repair.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![32]);
+        // An ack 50 us after that repair cannot reflect it: nothing goes out
+        // until the repair is one minimum RTT old...
+        a.handle_packet(&ack_packet(32), 1_300_000);
+        for now in [1_300_000, 1_400_000, 1_449_999] {
+            assert!(a.pump(now).unwrap().is_empty(), "early repair at {now}");
+        }
+        // ...then the deferred request fires, once.
+        let again = data_of(&a.pump(1_450_000).unwrap());
+        assert_eq!(again.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![32]);
+        assert!(a.pump(1_700_000).unwrap().is_empty(), "the ack is served");
+        assert_eq!(a.reliability().timer_retransmits, 0);
+    }
+
+    #[test]
+    fn a_lost_pressure_clearing_ack_is_repeated_until_the_peer_sends() {
+        use crate::budget::{GlobalBudget, ResourceBudget};
+        let pool = GlobalBudget::new(1 << 20);
+        let mut a = endpoint(1, 2);
+        let mut b =
+            endpoint(2, 1).with_rx_budget(ResourceBudget::unlimited().with_global(pool.clone()));
+        let msg = [7u8; 64];
+        a.send(&msg, 0xA, false);
+        // The first transmission is lost while B's shared pool runs hot.
+        assert!(!a.pump(0).unwrap().is_empty());
+        pool.add(1 << 20);
+        for p in b.pump(100_000).unwrap() {
+            a.handle_packet(&p, 200_000);
+        }
+        assert!(a.peer_pressure());
+        // The pool frees up with nothing open at B; its pressure-clearing
+        // ack is lost.
+        pool.sub(1 << 20);
+        assert!(!b.pump(300_000).unwrap().is_empty(), "the clearing is news");
+        // A keeps deferring its timer and sends nothing, so B has no news
+        // of its own, yet it repeats the clearing until A is heard from.
+        for round in 1..=20u64 {
+            let now = 300_000 + round * 1_000_000;
+            let a_out = a.pump(now).unwrap();
+            for p in &a_out {
+                b.handle_packet(p, now + 100_000);
+            }
+            for p in b.pump(now + 100_000).unwrap() {
+                a.handle_packet(&p, now + 200_000);
+            }
+        }
+        assert!(!a.peer_pressure());
+        assert!(a.outbound_done());
+        assert_eq!(b.received_elements(), 64);
+        assert_eq!(&b.received()[..64], msg);
+        // Heard: B falls silent again.
+        assert!(b.pump(30_000_000).unwrap().is_empty());
     }
 
     #[test]

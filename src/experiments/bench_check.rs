@@ -44,6 +44,11 @@ pub enum Status {
         committed: String,
         /// That line as regenerated.
         regenerated: String,
+        /// How many lines differ in all.
+        lines: usize,
+        /// The first [`DRIFT_ROWS_SHOWN`] differing lines, each with its
+        /// row and first differing field.
+        rows: Vec<String>,
     },
 }
 
@@ -93,10 +98,23 @@ impl fmt::Display for BenchCheckResult {
                     line,
                     committed,
                     regenerated,
+                    lines,
+                    rows,
                 } => {
-                    writeln!(f, "  {:<22} {:<10} DRIFT at line {line}:", c.file, mode)?;
+                    writeln!(
+                        f,
+                        "  {:<22} {:<10} DRIFT at line {line} ({lines} lines drift):",
+                        c.file, mode
+                    )?;
                     writeln!(f, "    committed:   {committed}")?;
                     writeln!(f, "    regenerated: {regenerated}")?;
+                    writeln!(f, "    first differing field per drifting line:")?;
+                    for row in rows {
+                        writeln!(f, "      {row}")?;
+                    }
+                    if *lines > rows.len() {
+                        writeln!(f, "      ... and {} more", lines - rows.len())?;
+                    }
                     writeln!(
                         f,
                         "    (intentional change? re-run the regenerate command in the file's meta block and commit the result)"
@@ -126,30 +144,119 @@ fn check_meta(v: &Value) -> Result<String, String> {
     field("describe")
 }
 
-/// First line where the two strings differ, as
-/// `(1-based line, committed line, regenerated line)`.
-fn first_diff(committed: &str, regenerated: &str) -> Option<(usize, String, String)> {
+/// Drifting lines itemised in a [`Status::Drift`]; the rest are counted.
+pub const DRIFT_ROWS_SHOWN: usize = 12;
+
+/// Walks the two strings line by line, once: `None` when they are equal,
+/// otherwise the [`Status::Drift`] naming the first differing line, how
+/// many lines differ, and for the first [`DRIFT_ROWS_SHOWN`] of them `line
+/// N: <row>: <first differing field>`. Strings that differ only in their
+/// final newline drift by one line, past the last.
+fn drift(committed: &str, regenerated: &str) -> Option<Status> {
+    const EOF: &str = "<end of file>";
+    if committed == regenerated {
+        return None;
+    }
     let (mut a, mut b) = (committed.lines(), regenerated.lines());
+    let mut first = None;
+    let (mut lines, mut rows) = (0, Vec::new());
     let mut n = 0;
     loop {
         n += 1;
-        match (a.next(), b.next()) {
-            (None, None) => {
-                return if committed == regenerated {
-                    None
-                } else {
-                    Some((n, "<end of file>".into(), "<end of file>".into()))
+        let (la, lb) = match (a.next(), b.next()) {
+            (None, None) => break,
+            (la, lb) if la == lb => continue,
+            pair => pair,
+        };
+        lines += 1;
+        first.get_or_insert_with(|| {
+            (
+                n,
+                la.unwrap_or(EOF).to_owned(),
+                lb.unwrap_or(EOF).to_owned(),
+            )
+        });
+        if rows.len() < DRIFT_ROWS_SHOWN {
+            let what = row_diff(la.unwrap_or(""), lb.unwrap_or(""));
+            rows.push(format!("line {n}: {what}"));
+        }
+    }
+    let (line, committed, regenerated) = first.unwrap_or_else(|| {
+        lines = 1;
+        rows.push(format!("line {n}: final newline differs"));
+        (n, EOF.to_owned(), EOF.to_owned())
+    });
+    Some(Status::Drift {
+        line,
+        committed,
+        regenerated,
+        lines,
+        rows,
+    })
+}
+
+/// A drifting line as `<row label>: <first differing field>` when both
+/// sides are one-line JSON objects (a `results` row); the row is labelled
+/// by its first two scalar fields.
+fn row_diff(committed: &str, regenerated: &str) -> String {
+    let row = |line: &str| parse(line.trim().trim_end_matches(',')).ok();
+    match (row(committed), row(regenerated)) {
+        (Some(c), Some(r)) if c.as_obj().is_some() && r.as_obj().is_some() => {
+            let label: Vec<String> = c
+                .as_obj()
+                .unwrap_or_default()
+                .iter()
+                .filter(|(_, v)| !matches!(v, Value::Obj(_) | Value::Arr(_)))
+                .take(2)
+                .map(|(k, v)| format!("{k}={}", brief(v)))
+                .collect();
+            let field = field_diff(&c, &r).unwrap_or_else(|| "formatting only".into());
+            format!("{}: {field}", label.join(" "))
+        }
+        _ => "not a one-line JSON row".into(),
+    }
+}
+
+/// The first field where two values differ, as `path: committed ->
+/// regenerated` (nested objects give a dotted path); `None` when equal.
+fn field_diff(c: &Value, r: &Value) -> Option<String> {
+    if c == r {
+        return None;
+    }
+    let (Some(co), Some(ro)) = (c.as_obj(), r.as_obj()) else {
+        return Some(format!("{} -> {}", brief(c), brief(r)));
+    };
+    for i in 0..co.len().max(ro.len()) {
+        match (co.get(i), ro.get(i)) {
+            (Some((kc, vc)), Some((kr, vr))) if kc == kr => {
+                if let Some(d) = field_diff(vc, vr) {
+                    let sep = if vc.as_obj().is_some() && vr.as_obj().is_some() {
+                        "."
+                    } else {
+                        ": "
+                    };
+                    return Some(format!("{kc}{sep}{d}"));
                 }
             }
-            (la, lb) if la == lb => continue,
-            (la, lb) => {
-                return Some((
-                    n,
-                    la.unwrap_or("<end of file>").to_owned(),
-                    lb.unwrap_or("<end of file>").to_owned(),
-                ))
+            (kc, kr) => {
+                let key =
+                    |k: Option<&(String, Value)>| k.map_or("<none>".into(), |(k, _)| k.clone());
+                return Some(format!("field {} -> {}", key(kc), key(kr)));
             }
         }
+    }
+    None
+}
+
+/// A short rendering of a value: scalars as written, containers elided.
+fn brief(v: &Value) -> String {
+    match v {
+        Value::Null => "null".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Num(n) => n.clone(),
+        Value::Str(s) => s.clone(),
+        Value::Arr(_) => "[..]".into(),
+        Value::Obj(_) => "{..}".into(),
     }
 }
 
@@ -161,12 +268,8 @@ fn check_file(file: &'static str, exact: bool, regen: impl FnOnce(&str) -> Strin
         let describe = check_meta(&parsed).map_err(Status::BadMeta)?;
         if exact {
             let regenerated = regen(&describe);
-            if let Some((line, c, r)) = first_diff(&committed, &regenerated) {
-                return Err(Status::Drift {
-                    line,
-                    committed: c,
-                    regenerated: r,
-                });
+            if let Some(drift) = drift(&committed, &regenerated) {
+                return Err(drift);
             }
         } else if parsed
             .get("results")
@@ -217,6 +320,28 @@ pub fn run() -> BenchCheckResult {
 mod tests {
     use super::*;
 
+    /// The first drifting line of [`drift`]: `(line, committed, regenerated)`.
+    fn first_diff(committed: &str, regenerated: &str) -> Option<(usize, String, String)> {
+        match drift(committed, regenerated)? {
+            Status::Drift {
+                line,
+                committed,
+                regenerated,
+                ..
+            } => Some((line, committed, regenerated)),
+            other => panic!("not a drift: {other:?}"),
+        }
+    }
+
+    /// The drifting-line count and itemised rows of [`drift`].
+    fn drifting_lines(committed: &str, regenerated: &str) -> (usize, Vec<String>) {
+        match drift(committed, regenerated) {
+            None => (0, Vec::new()),
+            Some(Status::Drift { lines, rows, .. }) => (lines, rows),
+            Some(other) => panic!("not a drift: {other:?}"),
+        }
+    }
+
     #[test]
     fn first_diff_reports_the_first_differing_line() {
         assert_eq!(first_diff("a\nb\n", "a\nb\n"), None);
@@ -224,6 +349,43 @@ mod tests {
         assert_eq!((line, c.as_str(), r.as_str()), (2, "b", "c"));
         let (line, _, r) = first_diff("a\n", "a\nb\n").unwrap();
         assert_eq!((line, r.as_str()), (2, "b"));
+    }
+
+    #[test]
+    fn drift_report_counts_every_drifting_line_and_names_its_field() {
+        let committed = "{\n  \"results\": [\n    \
+            {\"scenario\": \"a\", \"seed\": \"0x1\", \"ms\": 0.8, \"metrics\": {\"x\": 1, \"y\": 2}},\n    \
+            {\"scenario\": \"b\", \"seed\": \"0x1\", \"ms\": 1.4, \"metrics\": {\"x\": 1}},\n    \
+            {\"scenario\": \"c\", \"seed\": \"0x1\", \"ms\": 2.0, \"metrics\": {}}\n  ]\n}\n";
+        let regenerated = committed
+            .replace("\"y\": 2", "\"y\": 3")
+            .replace("\"ms\": 1.4", "\"ms\": 1.6")
+            .replace("\"ms\": 2.0, \"metrics\": {}", "\"ms\": 2.0, \"extra\": 1");
+        assert_eq!(drifting_lines(committed, committed), (0, Vec::new()));
+        let (lines, rows) = drifting_lines(committed, &regenerated);
+        assert_eq!(lines, 3);
+        assert_eq!(
+            rows,
+            [
+                "line 3: scenario=a seed=0x1: metrics.y: 2 -> 3",
+                "line 4: scenario=b seed=0x1: ms: 1.4 -> 1.6",
+                "line 5: scenario=c seed=0x1: field metrics -> extra",
+            ]
+        );
+        // Lines that are not rows still count; the list is capped.
+        let many: String = (0..40).map(|i| format!("{i}\n")).collect();
+        let (lines, rows) = drifting_lines(&many, &many.replace('\n', "!\n"));
+        assert_eq!(lines, 40);
+        assert_eq!(rows.len(), DRIFT_ROWS_SHOWN);
+        assert_eq!(rows[0], "line 1: not a one-line JSON row");
+        let (lines, _) = drifting_lines("a\n", "a\nb\nc\n");
+        assert_eq!(lines, 2, "extra lines drift too");
+        // A final newline alone is one drifting line, first and counted.
+        assert_eq!(
+            drifting_lines("a\n", "a"),
+            (1, vec!["line 2: final newline differs".to_owned()])
+        );
+        assert_eq!(first_diff("a\n", "a").unwrap().0, 2);
     }
 
     #[test]

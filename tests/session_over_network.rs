@@ -8,11 +8,12 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use chunks::core::label::ChunkType;
-use chunks::core::packet::{unpack, Packet};
+use chunks::core::packet::{pack, unpack, Packet};
 use chunks::netsim::{LinkConfig, Path, PathBuilder, Profile};
 use chunks::transport::{
-    AckInfo, ConnectionParams, DegradePolicy, DeliveryMode, PacketMux, Receiver, RetransmitTimer,
-    RtoConfig, RxEvent, Sender, SenderConfig, Session, TimerVerdict,
+    AckGate, AckInfo, ConnectionParams, DegradePolicy, DeliveryMode, PacketMux, Receiver,
+    RepairPacer, RetransmitTimer, RtoConfig, RxEvent, Sender, SenderConfig, Served, Session,
+    TimerVerdict,
 };
 use chunks::wsc::InvariantLayout;
 
@@ -136,20 +137,23 @@ fn transfer_survives_route_change() {
 }
 
 /// One endpoint's transmit path rebuilt the way it worked before each chunk
-/// was packed once: every segment of a batch — the pending window or the
-/// ack-driven repair, then each timer retransmission — is packed on its
-/// own by the packet-returning `Sender` methods, unpacked again, and
-/// repacked with the ack in a fresh `PacketMux`. The reliability logic
-/// mirrors `Session` for what the conversation below exercises (no
-/// budget, so no back-pressure; shedding on an empty retry budget).
+/// was packed once: every segment of a batch — the ack-driven repair, the
+/// first transmission of new data, then each timer retransmission — is
+/// packed on its own by the packet-returning `Sender` methods (or `pack`
+/// over the new TPDUs' chunks), unpacked again, and repacked with the ack
+/// in a fresh `PacketMux`. The reliability logic mirrors `Session` for
+/// what the conversation below exercises (no budget, so no back-pressure;
+/// shedding on an empty retry budget) and runs the same public repair
+/// pacing and ack policy (`RepairPacer`, `AckGate`).
 struct RepackingEndpoint {
     tx: Sender,
     rx: Receiver,
     rto: RetransmitTimer,
     mtu: usize,
     conn: u32,
-    transmitted_once: bool,
-    inbound_ack: Option<AckInfo>,
+    unsent: Option<u64>,
+    repair: RepairPacer,
+    ack_gate: AckGate,
     backlog: VecDeque<Packet>,
     clock: u64,
     /// Most segments repacked into one batch.
@@ -169,8 +173,9 @@ impl RepackingEndpoint {
             rto: RetransmitTimer::new(rto),
             mtu,
             conn: local,
-            transmitted_once: false,
-            inbound_ack: None,
+            unsent: None,
+            repair: RepairPacer::default(),
+            ack_gate: AckGate::default(),
             backlog: VecDeque::new(),
             clock: 0,
             max_segments: 0,
@@ -178,8 +183,9 @@ impl RepackingEndpoint {
     }
 
     fn send(&mut self, data: &[u8], x_id: u32) {
-        self.tx.submit_simple(data, x_id, false);
-        self.transmitted_once = false;
+        if let Some(&first) = self.tx.submit_simple(data, x_id, false).first() {
+            self.unsent.get_or_insert(first);
+        }
     }
 
     fn handle_packet(&mut self, packet: &Packet, now: u64) {
@@ -189,7 +195,7 @@ impl RepackingEndpoint {
                 for start in self.tx.handle_ack(&ack) {
                     self.rto.on_ack(start, self.clock);
                 }
-                self.inbound_ack = Some(ack);
+                self.repair.hold(ack, &self.rto);
             }
         }
     }
@@ -209,18 +215,28 @@ impl RepackingEndpoint {
             }
         };
         let mut sent: Vec<(u64, bool)> = Vec::new();
-        if !self.transmitted_once {
-            self.transmitted_once = true;
-            repack(&mut mux, self.tx.packets_for_pending().unwrap());
-            for s in self.tx.unacked_starts() {
-                sent.push((s, self.rto.rto_for(s).is_some()));
+        let tx = &mut self.tx;
+        let paced = pump_at.map(|_| now);
+        let served = self
+            .repair
+            .serve(&self.rto, paced, 64, |ack, ready| {
+                tx.retransmit_for_ack_parts(ack, 64, ready)
+            })
+            .unwrap();
+        match served {
+            Served::Idle => {}
+            Served::Pressured => panic!("no budget, no back-pressure"),
+            Served::Repaired(packets, repaired) => {
+                repack(&mut mux, packets);
+                sent.extend(repaired.into_iter().map(|s| (s, true)));
             }
-        } else if let Some(ack) = self.inbound_ack.take() {
-            self.tx.handle_ack(&ack);
-            assert!(!ack.pressure, "no budget, no back-pressure");
-            let (packets, repaired) = self.tx.retransmit_for_ack_parts(&ack, 64).unwrap();
-            repack(&mut mux, packets);
-            sent.extend(repaired.into_iter().map(|s| (s, true)));
+        }
+        if let Some(from) = self.unsent.take() {
+            repack(
+                &mut mux,
+                pack(self.tx.pending_chunks_from(from), self.mtu).unwrap(),
+            );
+            sent.extend(self.tx.pending_starts_from(from).map(|s| (s, false)));
         }
         let verdicts = if timers {
             self.rto.poll(now)
@@ -247,8 +263,15 @@ impl RepackingEndpoint {
         for s in self.rx.failed_starts() {
             self.rx.reset_group(s);
         }
-        mux.enqueue_ack(self.conn, &self.rx.make_ack());
+        let ack = self.rx.make_ack();
+        let ack_news = self.ack_gate.has_news(&self.rx, &ack);
+        if ack_news {
+            mux.enqueue_ack(self.conn, &ack);
+        }
         self.backlog.extend(mux.flush().unwrap());
+        if ack_news {
+            self.ack_gate.sent(&self.rx, &ack);
+        }
         self.max_segments = self.max_segments.max(segments);
         let take = self.backlog.len().min(256);
         self.backlog.drain(..take).collect()
@@ -314,6 +337,12 @@ fn one_pack_per_chunk_puts_the_repacked_bytes_on_the_wire() {
         };
         assert_eq!(out_b, ob.emit(pump_at), "B's batch in round {round}");
         packets += out_a.len() + out_b.len();
+        // A 4 ms outage both ways early on: with no feedback, only the
+        // timers recover, so batches they shape are compared too.
+        if (4..12).contains(&round) {
+            (to_b, to_a) = (Vec::new(), Vec::new());
+            continue;
+        }
         to_b = deliver(&out_a, &mut lose);
         to_a = deliver(&out_b, &mut lose);
         if a.outbound_done() && b.outbound_done() && round > 40 {
@@ -333,6 +362,75 @@ fn one_pack_per_chunk_puts_the_repacked_bytes_on_the_wire() {
 /// A frame on its way: (arrival, send sequence, towards b, bytes).
 type InFlight = (u64, u64, bool, Vec<u8>);
 
+/// Open-loop 64 KiB messages from `a` to `b` over `Profile::MultipathLossy`
+/// (one message due every 10 ms, both endpoints pumped every 20 µs, frames
+/// delivered at their simulated arrival times) until `a` has everything
+/// acknowledged. `reply` sees each packet `b` emits. Returns the endpoints,
+/// the message bytes, and the frame bytes both sides put on the wire.
+fn open_loop(
+    seed: u64,
+    tpdu_elements: u32,
+    messages: usize,
+    mut reply_seen: impl FnMut(&Packet),
+) -> (Session, Session, Vec<u8>, u64) {
+    const MTU: usize = 1500;
+    const MESSAGE: usize = 64 * 1024;
+    const PERIOD_NS: u64 = 10_000_000;
+    const TICK_NS: u64 = 20_000;
+    let total = messages * MESSAGE;
+    let msg: Vec<u8> = (0..total)
+        .map(|i| (i as u64).wrapping_mul(seed * 2 + 1) as u8)
+        .collect();
+    let mut a = endpoint_with(1, 2, tpdu_elements, MTU, 0);
+    let mut b = endpoint_with(2, 1, tpdu_elements, MTU, total as u64);
+    let mut ab = Profile::MultipathLossy.build(MTU, seed);
+    let mut ba = Profile::MultipathLossy.build(MTU, seed ^ 0xBA);
+    let mut heap: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
+    let mut seq = 0;
+    let mut sent = 0;
+    let mut wire_bytes = 0;
+    let horizon = (messages as u64 - 1) * PERIOD_NS + 400_000_000;
+    let mut t = 0;
+    while !(sent == messages && a.outbound_done()) {
+        assert!(t <= horizon, "seed {seed}: not done by {horizon} ns");
+        while heap.peek().is_some_and(|Reverse(x)| x.0 <= t) {
+            let Reverse((at, _, to_b, frame)) = heap.pop().unwrap();
+            let packet = Packet {
+                bytes: frame.into(),
+            };
+            if to_b {
+                b.handle_packet(&packet, at);
+            } else {
+                a.handle_packet(&packet, at);
+            }
+        }
+        if sent < messages && sent as u64 * PERIOD_NS <= t {
+            a.send(
+                &msg[sent * MESSAGE..(sent + 1) * MESSAGE],
+                sent as u32 + 1,
+                false,
+            );
+            sent += 1;
+        }
+        let out = a.pump(t).unwrap();
+        let reply = b
+            .pump(t)
+            .unwrap_or_else(|e| panic!("seed {seed}: receiving pump at {t} ns: {e}"));
+        reply.iter().for_each(&mut reply_seen);
+        for (to_b, path, batch) in [(true, &mut ab, out), (false, &mut ba, reply)] {
+            for p in batch {
+                wire_bytes += p.len() as u64;
+                for d in path.transmit(t, p.bytes.to_vec()) {
+                    seq += 1;
+                    heap.push(Reverse((d.time, seq, to_b, d.frame)));
+                }
+            }
+        }
+        t += TICK_NS;
+    }
+    (a, b, msg, wire_bytes)
+}
+
 #[test]
 fn acks_fit_the_mtu_however_far_the_sacks_run_ahead() {
     // 256-element TPDUs over a lossy multipath, open loop: one lost packet
@@ -341,70 +439,18 @@ fn acks_fit_the_mtu_however_far_the_sacks_run_ahead() {
     // outgrows the packet and the receiving side's pump fails with
     // `ElementExceedsMtu` from then on. Trimmed, the conversation finishes.
     const MTU: usize = 1500;
-    const MESSAGES: usize = 4;
-    const MESSAGE: usize = 64 * 1024;
-    const PERIOD_NS: u64 = 10_000_000;
-    const TICK_NS: u64 = 20_000;
     let mut longest_sacks = 0;
     for seed in 1..=3u64 {
-        let total = MESSAGES * MESSAGE;
-        let msg: Vec<u8> = (0..total)
-            .map(|i| (i as u64).wrapping_mul(seed * 2 + 1) as u8)
-            .collect();
-        let mut a = endpoint_with(1, 2, 256, MTU, 0);
-        let mut b = endpoint_with(2, 1, 256, MTU, total as u64);
-        let mut ab = Profile::MultipathLossy.build(MTU, seed);
-        let mut ba = Profile::MultipathLossy.build(MTU, seed ^ 0xBA);
-        let mut heap: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
-        let mut seq = 0;
-        let mut sent = 0;
-        let horizon = (MESSAGES as u64 - 1) * PERIOD_NS + 400_000_000;
-        let mut t = 0;
-        while !(sent == MESSAGES && a.outbound_done()) {
-            assert!(t <= horizon, "seed {seed}: not done by {horizon} ns");
-            while heap.peek().is_some_and(|Reverse(x)| x.0 <= t) {
-                let Reverse((at, _, to_b, frame)) = heap.pop().unwrap();
-                let packet = Packet {
-                    bytes: frame.into(),
-                };
-                if to_b {
-                    b.handle_packet(&packet, at);
-                } else {
-                    a.handle_packet(&packet, at);
+        let (_, b, msg, _) = open_loop(seed, 256, 4, |p| {
+            assert!(p.len() <= MTU);
+            for c in unpack(p).unwrap() {
+                if c.header.ty == ChunkType::Ack {
+                    let ack = AckInfo::from_chunk(&c).unwrap();
+                    longest_sacks = longest_sacks.max(ack.sacks.len());
                 }
             }
-            if sent < MESSAGES && sent as u64 * PERIOD_NS <= t {
-                a.send(
-                    &msg[sent * MESSAGE..(sent + 1) * MESSAGE],
-                    sent as u32 + 1,
-                    false,
-                );
-                sent += 1;
-            }
-            let out = a.pump(t).unwrap();
-            let reply = b
-                .pump(t)
-                .unwrap_or_else(|e| panic!("seed {seed}: receiving pump at {t} ns: {e}"));
-            for p in &reply {
-                assert!(p.len() <= MTU);
-                for c in unpack(p).unwrap() {
-                    if c.header.ty == ChunkType::Ack {
-                        let ack = AckInfo::from_chunk(&c).unwrap();
-                        longest_sacks = longest_sacks.max(ack.sacks.len());
-                    }
-                }
-            }
-            for (to_b, path, batch) in [(true, &mut ab, out), (false, &mut ba, reply)] {
-                for p in batch {
-                    for d in path.transmit(t, p.bytes.to_vec()) {
-                        seq += 1;
-                        heap.push(Reverse((d.time, seq, to_b, d.frame)));
-                    }
-                }
-            }
-            t += TICK_NS;
-        }
-        assert_eq!(&b.received()[..total], &msg[..], "seed {seed}");
+        });
+        assert_eq!(&b.received()[..msg.len()], &msg[..], "seed {seed}");
     }
     // Some ack really ran into the cap: the SACK list alone filled most of
     // a packet.
@@ -412,4 +458,25 @@ fn acks_fit_the_mtu_however_far_the_sacks_run_ahead() {
         longest_sacks * 8 > MTU - 200,
         "longest SACK list {longest_sacks} never neared the MTU"
     );
+}
+
+#[test]
+fn repair_on_a_skewed_multipath_costs_a_few_copies_not_dozens() {
+    // The stream shape the repair storm showed on: acks return while data
+    // is still in flight on paths whose delays differ by 600 µs. Repair
+    // paced by the minimum RTT and acks sent only on news keep the wire
+    // bytes within a small multiple of the message bytes (answering every
+    // ack by resending every unacknowledged TPDU cost about 33×), and the
+    // RTT estimator gets clean samples.
+    for seed in 1..=2u64 {
+        let (a, b, msg, wire_bytes) = open_loop(seed, 1024, 3, |_| {});
+        assert_eq!(b.received_elements(), msg.len() as u64, "seed {seed}");
+        assert_eq!(&b.received()[..msg.len()], &msg[..], "seed {seed}");
+        assert!(
+            wire_bytes <= 8 * msg.len() as u64,
+            "seed {seed}: {wire_bytes} wire bytes for {} message bytes",
+            msg.len()
+        );
+        assert!(a.reliability().rtt_samples > 0, "seed {seed}");
+    }
 }
