@@ -10,12 +10,10 @@
 use bytes::Bytes;
 use chunks_obs::ObsSink;
 
-use crate::chunk::Chunk;
+use crate::chunk::{Chunk, ChunkHeader};
 use crate::error::CoreError;
 use crate::frag::split;
-use crate::wire::{
-    decode_chunk, decode_chunk_observed, encode_chunk, MAX_DECODE_PAYLOAD, WIRE_HEADER_LEN,
-};
+use crate::wire::{chunk_extent, decode_header, encode_chunk, observe_decode, WIRE_HEADER_LEN};
 
 /// A packet: the atomic physical unit exchanged between protocol processors.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -173,208 +171,162 @@ pub fn pack(chunks: impl IntoIterator<Item = Chunk>, mtu: usize) -> Result<Vec<P
     Ok(packets)
 }
 
-/// Extracts the chunks from a packet.
+/// Why the framing walk refused a packet.
+#[derive(Debug)]
+struct Refusal {
+    error: CoreError,
+    /// Start of the chunk that failed its own checks (see
+    /// [`crate::wire::chunk_extent`]); `None` for a framing failure outside
+    /// any chunk: a sub-header tail that is not zero padding, a header that
+    /// does not decode, or nonzero bytes after the end marker.
+    chunk: Option<usize>,
+}
+
+/// The framing walk over a packet's bytes: yields each chunk as
+/// `(start, header, wire length)` in placement order, and ends at the end
+/// of the chunk sequence or right after the first [`Refusal`].
 ///
-/// Parsing stops at a `LEN = 0` end marker or at end-of-bytes; remaining
-/// bytes after a marker must be zero padding. Trailing space smaller than a
-/// header is accepted only when all zero.
+/// The chunk sequence ends at end-of-bytes or at a `LEN = 0` end marker;
+/// everything after a marker must be zero padding, and a tail shorter than
+/// a header is accepted only when all zero. Every packet reader in this
+/// module is this walk.
+#[derive(Debug)]
+struct Frames<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Result<(usize, ChunkHeader, usize), Refusal>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let at = self.at;
+        let rest = self.bytes.get(at..).filter(|rest| !rest.is_empty())?;
+        // Every outcome but a well-formed chunk ends the walk.
+        self.at = self.bytes.len();
+        let framing = |error| Err(Refusal { error, chunk: None });
+        let zeros = |tail: &[u8]| tail.iter().all(|&b| b == 0);
+        if rest.len() < WIRE_HEADER_LEN {
+            return (!zeros(rest)).then(|| framing(CoreError::Truncated));
+        }
+        let header = match decode_header(rest) {
+            Ok(header) => header,
+            Err(error) => return Some(framing(error)),
+        };
+        if header.len == 0 {
+            // An end marker: only zero padding may follow it.
+            let tail = &rest[WIRE_HEADER_LEN..];
+            return (!zeros(tail)).then(|| framing(CoreError::TrailingGarbage));
+        }
+        match chunk_extent(&header, rest) {
+            Ok(total) => {
+                self.at = at + total;
+                Some(Ok((at, header, total)))
+            }
+            Err(error) => {
+                let chunk = Some(at);
+                Some(Err(Refusal { error, chunk }))
+            }
+        }
+    }
+}
+
+fn frames(packet: &Packet) -> Frames<'_> {
+    Frames {
+        bytes: &packet.bytes,
+        at: 0,
+    }
+}
+
+/// Extracts the chunks from a packet, **copying** each payload out of it.
+///
+/// This is the owned reference decode the zero-copy walk ([`validate`] then
+/// [`chunks_in`]) is tested against: both accept exactly the same packets,
+/// refuse the rest with the same error, and yield bitwise-equal chunks.
 pub fn unpack(packet: &Packet) -> Result<Vec<Chunk>, CoreError> {
-    let mut chunks = Vec::new();
-    let mut rest: &[u8] = &packet.bytes;
-    while !rest.is_empty() {
-        if rest.len() < WIRE_HEADER_LEN {
-            if rest.iter().all(|&b| b == 0) {
-                break;
-            }
-            return Err(CoreError::Truncated);
-        }
-        let header = crate::wire::decode_header(rest)?;
-        if header.len == 0 {
-            // End marker: everything after it must be padding.
-            if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
-                return Err(CoreError::TrailingGarbage);
-            }
-            break;
-        }
-        let (chunk, used) = decode_chunk(rest)?;
-        chunks.push(chunk);
-        rest = &rest[used..];
-    }
-    Ok(chunks)
-}
-
-/// [`unpack`] with per-chunk decode instrumentation (see
-/// [`decode_chunk_observed`]): identical accept/reject behaviour, plus one
-/// `ChunkDecoded`/`ChunkRejected` event and wire counter per chunk.
-pub fn unpack_observed(
-    packet: &Packet,
-    now: u64,
-    sink: &dyn ObsSink,
-) -> Result<Vec<Chunk>, CoreError> {
-    let mut chunks = Vec::new();
-    let mut rest: &[u8] = &packet.bytes;
-    while !rest.is_empty() {
-        if rest.len() < WIRE_HEADER_LEN {
-            if rest.iter().all(|&b| b == 0) {
-                break;
-            }
-            return Err(CoreError::Truncated);
-        }
-        let header = crate::wire::decode_header(rest)?;
-        if header.len == 0 {
-            if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
-                return Err(CoreError::TrailingGarbage);
-            }
-            break;
-        }
-        let (chunk, used) = decode_chunk_observed(rest, now, sink)?;
-        chunks.push(chunk);
-        rest = &rest[used..];
-    }
-    Ok(chunks)
-}
-
-/// Scans a packet's encoded chunks without materialising payloads, returning
-/// the byte span `[start, end)` of each chunk in placement order.
-///
-/// Validation is identical to [`unpack`]: the same end-marker, padding,
-/// truncation, oversize and header rules apply, so a packet is either
-/// accepted by both functions with the same chunk boundaries or rejected by
-/// both. A sharded dispatcher uses this to route cheap [`bytes::Bytes`]
-/// sub-slices of the packet to workers without touching a single payload
-/// byte on the dispatch stage.
-pub fn chunk_spans(packet: &Packet) -> Result<Vec<(usize, usize)>, CoreError> {
-    let bytes: &[u8] = &packet.bytes;
-    let mut spans = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let rest = &bytes[at..];
-        if rest.len() < WIRE_HEADER_LEN {
-            if rest.iter().all(|&b| b == 0) {
-                break;
-            }
-            return Err(CoreError::Truncated);
-        }
-        let header = crate::wire::decode_header(rest)?;
-        if header.len == 0 {
-            if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
-                return Err(CoreError::TrailingGarbage);
-            }
-            break;
-        }
-        header.validate()?;
-        // Same widened bound check as `decode_chunk` (the claim approaches
-        // 2^48 and must not touch usize arithmetic first).
-        let claimed = header.size as u64 * header.len as u64;
-        if claimed > MAX_DECODE_PAYLOAD as u64 {
-            return Err(CoreError::OversizedLen {
-                claimed,
-                max: MAX_DECODE_PAYLOAD as u64,
-            });
-        }
-        let total = WIRE_HEADER_LEN + claimed as usize;
-        if rest.len() < total {
-            return Err(CoreError::Truncated);
-        }
-        spans.push((at, at + total));
-        at += total;
-    }
-    Ok(spans)
+    frames(packet)
+        .map(|frame| {
+            let (at, header, total) = frame.map_err(|r| r.error)?;
+            let payload = Bytes::copy_from_slice(&packet.bytes[at + WIRE_HEADER_LEN..at + total]);
+            Ok(Chunk { header, payload })
+        })
+        .collect()
 }
 
 /// Validates a packet's framing without allocating, returning the number of
 /// chunks it carries.
 ///
-/// This is the allocation-free twin of [`chunk_spans`]: the same end-marker,
-/// padding, truncation, oversize and header rules apply, so a packet is
-/// accepted by `validate` exactly when `chunk_spans`/[`unpack`] accept it,
-/// with the same error otherwise. The zero-copy receive path runs this scan
-/// first — preserving `unpack`'s whole-packet reject semantics — and then
-/// walks the (now known-good) spans with [`spans`], decoding each chunk in
-/// place without a `Vec` of spans or a `Vec` of chunks.
+/// A packet is accepted exactly when [`unpack`] accepts it, with the same
+/// error otherwise. The zero-copy receive path runs this scan first —
+/// keeping the whole-packet reject semantics — and then walks the (now
+/// known-good) chunks with [`chunks_in`], without a `Vec` of spans or of
+/// chunks.
 pub fn validate(packet: &Packet) -> Result<usize, CoreError> {
-    let bytes: &[u8] = &packet.bytes;
-    let mut count = 0usize;
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let rest = &bytes[at..];
-        if rest.len() < WIRE_HEADER_LEN {
-            if rest.iter().all(|&b| b == 0) {
-                break;
-            }
-            return Err(CoreError::Truncated);
-        }
-        let header = crate::wire::decode_header(rest)?;
-        if header.len == 0 {
-            if rest[WIRE_HEADER_LEN..].iter().any(|&b| b != 0) {
-                return Err(CoreError::TrailingGarbage);
-            }
-            break;
-        }
-        header.validate()?;
-        let claimed = header.size as u64 * header.len as u64;
-        if claimed > MAX_DECODE_PAYLOAD as u64 {
-            return Err(CoreError::OversizedLen {
-                claimed,
-                max: MAX_DECODE_PAYLOAD as u64,
-            });
-        }
-        let total = WIRE_HEADER_LEN + claimed as usize;
-        if rest.len() < total {
-            return Err(CoreError::Truncated);
-        }
-        count += 1;
-        at += total;
-    }
-    Ok(count)
+    frames(packet).try_fold(0, |count, frame| {
+        frame.map(|_| count + 1).map_err(|r| r.error)
+    })
 }
 
-/// Iterates the chunk byte spans of an **already-validated** packet without
-/// allocating. On a packet [`validate`] accepted, this yields exactly the
-/// spans [`chunk_spans`] would collect; on anything else it simply stops at
-/// the first inconsistency (it cannot report errors — run [`validate`]
-/// first).
+/// [`validate`] with verbose decode instrumentation: the same walk, plus
+/// [`observe_decode`] for every chunk it reaches, so a packet's
+/// `ChunkDecoded` events precede anything its chunks cause downstream. On a
+/// refused packet the chunks before the bad one are reported as decoded, and
+/// the bad one as rejected when it failed its own checks; a framing failure
+/// outside any chunk raises no event.
+pub fn validate_observed(
+    packet: &Packet,
+    now: u64,
+    sink: &dyn ObsSink,
+) -> Result<usize, CoreError> {
+    frames(packet).try_fold(0, |count, frame| match frame {
+        Ok((at, header, _)) => {
+            observe_decode(&packet.bytes[at..], Ok(&header), now, sink);
+            Ok(count + 1)
+        }
+        Err(Refusal { error, chunk }) => {
+            if let Some(at) = chunk {
+                observe_decode(&packet.bytes[at..], Err(&error), now, sink);
+            }
+            Err(error)
+        }
+    })
+}
+
+/// Iterates the chunk byte spans `[start, end)` of an **already-validated**
+/// packet without allocating. On anything else it stops at the first
+/// inconsistency (it cannot report errors — run [`validate`] first).
 pub fn spans(packet: &Packet) -> Spans<'_> {
     Spans {
-        bytes: &packet.bytes,
-        at: 0,
+        frames: frames(packet),
     }
 }
 
 /// Iterator over chunk spans of a validated packet. See [`spans`].
 #[derive(Debug)]
 pub struct Spans<'a> {
-    bytes: &'a [u8],
-    at: usize,
+    frames: Frames<'a>,
 }
 
 impl Iterator for Spans<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<(usize, usize)> {
-        if self.at >= self.bytes.len() {
-            return None;
-        }
-        let rest = &self.bytes[self.at..];
-        if rest.len() < WIRE_HEADER_LEN {
-            return None;
-        }
-        let header = crate::wire::decode_header(rest).ok()?;
-        if header.len == 0 {
-            return None;
-        }
-        let claimed = header.size as u64 * header.len as u64;
-        if claimed > MAX_DECODE_PAYLOAD as u64 {
-            return None;
-        }
-        let total = WIRE_HEADER_LEN + claimed as usize;
-        if rest.len() < total {
-            return None;
-        }
-        let span = (self.at, self.at + total);
-        self.at += total;
-        Some(span)
+        let (at, _, total) = self.frames.next()?.ok()?;
+        Some((at, at + total))
     }
+}
+
+/// Iterates the chunks of an **already-validated** packet, each payload a
+/// zero-copy slice sharing the packet's buffer: no payload byte is copied
+/// and nothing is allocated. This is how a packet enters every receive
+/// stack. Like [`spans`], it stops at the first inconsistency of a packet
+/// [`validate`] would refuse.
+pub fn chunks_in(packet: &Packet) -> impl Iterator<Item = Chunk> + '_ {
+    frames(packet).map_while(|frame| {
+        let (at, header, total) = frame.ok()?;
+        let payload = packet.bytes.slice(at + WIRE_HEADER_LEN..at + total);
+        Some(Chunk { header, payload })
+    })
 }
 
 #[cfg(test)]
@@ -471,17 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn garbage_after_end_marker_rejected() {
-        let mut b = PacketBuilder::new(200);
-        b.push(data_chunk(5)).unwrap();
-        let p = b.finish_padded();
-        let mut raw = p.bytes.to_vec();
-        *raw.last_mut().unwrap() = 0xFF;
-        let bad = Packet { bytes: raw.into() };
-        assert_eq!(unpack(&bad).unwrap_err(), CoreError::TrailingGarbage);
-    }
-
-    #[test]
     fn multiple_small_chunks_share_packet() {
         let mut chunks = Vec::new();
         for i in 0..5u32 {
@@ -512,43 +453,30 @@ mod tests {
         assert!(pack(vec![], 1500).unwrap().is_empty());
     }
 
-    /// `chunk_spans` and `unpack` must agree chunk-for-chunk on accepted
-    /// packets and error-for-error on rejected ones — the property a
-    /// zero-copy dispatch stage depends on.
+    /// The zero-copy walk and `unpack` must agree chunk-for-chunk on
+    /// accepted packets and error-for-error on rejected ones — the property
+    /// every receive stack depends on.
     fn assert_spans_agree(p: &Packet) {
-        match (chunk_spans(p), unpack(p)) {
-            (Ok(spans), Ok(chunks)) => {
-                assert_eq!(spans.len(), chunks.len());
-                for ((lo, hi), chunk) in spans.iter().zip(&chunks) {
-                    let (decoded, used) = decode_chunk(&p.bytes[*lo..*hi]).unwrap();
-                    assert_eq!(used, hi - lo);
-                    assert_eq!(&decoded, chunk);
-                }
-                // The allocation-free scan agrees too, span for span.
-                assert_eq!(validate(p).unwrap(), spans.len());
-                let streamed: Vec<(usize, usize)> = super::spans(p).collect();
-                assert_eq!(streamed, spans);
-                // And the zero-copy decode sees the same chunks, sharing the
-                // packet's buffer instead of copying out of it.
-                for ((lo, hi), chunk) in spans.iter().zip(&chunks) {
-                    let (zc, used) = crate::wire::decode_chunk_at(&p.bytes, *lo).unwrap();
-                    assert_eq!(used, hi - lo);
-                    assert_eq!(&zc, chunk);
-                    let range = p.bytes.as_ptr_range();
-                    if !zc.payload.is_empty() {
-                        let pp = zc.payload.as_ptr();
-                        assert!(
-                            range.contains(&pp),
-                            "zero-copy payload must borrow the packet buffer"
-                        );
-                    }
-                }
+        let observed = validate_observed(p, 0, &*chunks_obs::null());
+        assert_eq!(observed, validate(p), "observing the walk changed it");
+        let walked = validate(p).map(|count| {
+            let zero_copy: Vec<Chunk> = chunks_in(p).collect();
+            assert_eq!(zero_copy.len(), count);
+            zero_copy
+        });
+        assert_eq!(walked, unpack(p));
+        // On an accepted packet the spans frame the same chunks, and the
+        // zero-copy payloads share the packet's buffer instead of copying
+        // out of it.
+        let Ok(chunks) = walked else { return };
+        assert_eq!(super::spans(p).count(), chunks.len());
+        let range = p.bytes.as_ptr_range();
+        for ((lo, hi), chunk) in super::spans(p).zip(chunks) {
+            let (decoded, used) = crate::wire::decode_chunk(&p.bytes[lo..]).unwrap();
+            assert_eq!((decoded, used), (chunk.clone(), hi - lo));
+            if !chunk.payload.is_empty() {
+                assert!(range.contains(&chunk.payload.as_ptr()), "payload copied");
             }
-            (Err(a), Err(b)) => {
-                assert_eq!(a, b);
-                assert_eq!(validate(p).unwrap_err(), a);
-            }
-            (a, b) => panic!("span scan {a:?} disagrees with unpack {b:?}"),
         }
     }
 
@@ -568,33 +496,36 @@ mod tests {
 
     #[test]
     fn spans_agree_with_unpack_on_malformed_packets() {
-        // Truncated mid-payload.
-        let mut raw = Vec::new();
-        encode_chunk(&data_chunk(9), &mut raw);
-        raw.truncate(raw.len() - 3);
-        assert_spans_agree(&Packet { bytes: raw.into() });
-        // Garbage after the end marker.
+        let wire = |len: u32| {
+            let mut raw = Vec::new();
+            encode_chunk(&data_chunk(len), &mut raw);
+            raw
+        };
+        let mut truncated = wire(9);
+        truncated.truncate(truncated.len() - 3);
         let mut b = PacketBuilder::new(120);
         b.push(data_chunk(5)).unwrap();
-        let mut raw = b.finish_padded().bytes.to_vec();
-        *raw.last_mut().unwrap() = 0x42;
-        assert_spans_agree(&Packet { bytes: raw.into() });
-        // Unknown TYPE byte.
-        let mut raw = Vec::new();
-        encode_chunk(&data_chunk(4), &mut raw);
-        raw[0] = 0x7F;
-        assert_spans_agree(&Packet { bytes: raw.into() });
-        // Oversized claim.
-        let mut raw = Vec::new();
-        encode_chunk(&data_chunk(4), &mut raw);
-        raw[2] = 0xFF;
-        raw[3] = 0xFF;
-        raw[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert_spans_agree(&Packet { bytes: raw.into() });
-        // Sub-header trailing garbage.
-        let mut raw = Vec::new();
-        encode_chunk(&data_chunk(4), &mut raw);
-        raw.extend_from_slice(&[0, 0, 0x99]);
-        assert_spans_agree(&Packet { bytes: raw.into() });
+        let mut after_marker = b.finish_padded().bytes.to_vec();
+        *after_marker.last_mut().unwrap() = 0x42;
+        let mut bad_type = wire(4);
+        bad_type[0] = 0x7F;
+        let mut oversized = wire(4);
+        oversized[2..8].copy_from_slice(&[0xFF; 6]);
+        let mut short_tail = wire(4);
+        short_tail.extend_from_slice(&[0, 0, 0x99]);
+        let claimed = 0xFFFF * u32::MAX as u64;
+        let max = crate::wire::MAX_DECODE_PAYLOAD as u64;
+        let cases = [
+            (truncated, CoreError::Truncated),
+            (after_marker, CoreError::TrailingGarbage),
+            (bad_type, CoreError::BadType(0x7F)),
+            (oversized, CoreError::OversizedLen { claimed, max }),
+            (short_tail, CoreError::Truncated),
+        ];
+        for (raw, error) in cases {
+            let p = Packet { bytes: raw.into() };
+            assert_spans_agree(&p);
+            assert_eq!(validate(&p), Err(error));
+        }
     }
 }

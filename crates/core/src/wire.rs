@@ -130,6 +130,16 @@ impl ChunkRef<'_> {
 #[inline]
 fn decode_validated(buf: &[u8]) -> Result<(ChunkHeader, usize), CoreError> {
     let header = decode_header(buf)?;
+    Ok((header, chunk_extent(&header, buf)?))
+}
+
+/// The checks a decoded header must pass to be a chunk: it validates, its
+/// payload claim is within [`MAX_DECODE_PAYLOAD`], and `buf` (which starts
+/// at the header) holds the whole claim. Returns the chunk's total wire
+/// length. The single-chunk decoders and the packet framing walk all run
+/// exactly this.
+#[inline]
+pub(crate) fn chunk_extent(header: &ChunkHeader, buf: &[u8]) -> Result<usize, CoreError> {
     header.validate()?;
     // Widen before multiplying: `SIZE * LEN` approaches 2^48, which on a
     // 32-bit target would wrap a `usize` product *before* the bound check
@@ -145,7 +155,7 @@ fn decode_validated(buf: &[u8]) -> Result<(ChunkHeader, usize), CoreError> {
     if buf.len() < total {
         return Err(CoreError::Truncated);
     }
-    Ok((header, total))
+    Ok(total)
 }
 
 /// Decodes one chunk from the front of `buf`, returning it together with the
@@ -191,31 +201,29 @@ pub fn labels_of(h: &ChunkHeader) -> Labels {
     Labels::new(h.conn.id, h.tpdu.sn, h.ext.sn)
 }
 
-/// [`decode_chunk`] with accept/reject instrumentation: an accepted chunk
-/// records a `core.wire.chunks_decoded` count and a
-/// [`Event::ChunkDecoded`] trace event; a refusal records
-/// `core.wire.decode_rejects` and [`Event::ChunkRejected`] (with whatever
-/// label context a best-effort header decode could recover).
-///
-/// Callers gate on a cached `sink.enabled()` and use plain [`decode_chunk`]
-/// when observability is off, so the hot path never pays the virtual calls.
-pub fn decode_chunk_observed(
+/// Records the verbose decode instrumentation for one chunk a decoder
+/// reached: `Ok(header)` counts `core.wire.chunks_decoded` with an
+/// [`Event::ChunkDecoded`]; a refusal counts `core.wire.decode_rejects` with
+/// an [`Event::ChunkRejected`] labelled by a best-effort decode of the header
+/// at the front of `buf`. Callers gate on a cached `sink.enabled() &&
+/// sink.verbose()`. See [`crate::packet::validate_observed`].
+pub fn observe_decode(
     buf: &[u8],
+    outcome: Result<&ChunkHeader, &CoreError>,
     now: u64,
     sink: &dyn ObsSink,
-) -> Result<(Chunk, usize), CoreError> {
-    match decode_chunk(buf) {
-        Ok((chunk, used)) => {
+) {
+    match outcome {
+        Ok(header) => {
             sink.counter("core.wire.chunks_decoded", 1);
             sink.event(
                 now,
                 Event::ChunkDecoded {
-                    labels: labels_of(&chunk.header),
-                    ty: chunk.header.ty.to_u8(),
-                    bytes: chunk.payload.len() as u32,
+                    labels: labels_of(header),
+                    ty: header.ty.to_u8(),
+                    bytes: header.payload_len() as u32,
                 },
             );
-            Ok((chunk, used))
         }
         Err(e) => {
             sink.counter("core.wire.decode_rejects", 1);
@@ -229,7 +237,6 @@ pub fn decode_chunk_observed(
                     reason: e.kind(),
                 },
             );
-            Err(e)
         }
     }
 }

@@ -55,12 +55,12 @@ pub const CATALOGUE: &[Spec] = &[
     counter(
         "core.wire.chunks_decoded",
         "chunks",
-        "core::wire::decode_chunk_observed accepted a chunk off the wire",
+        "core::wire::observe_decode saw a verbose decode accept a chunk off the wire",
     ),
     counter(
         "core.wire.decode_rejects",
         "chunks",
-        "core::wire::decode_chunk_observed refused a malformed chunk",
+        "core::wire::observe_decode saw a verbose decode refuse a malformed chunk",
     ),
     counter(
         "netsim.byzantine.mutations",

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use chunks_core::chunk::Chunk;
 use chunks_core::error::CoreError;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{spans, unpack, validate, Packet, PacketBuilder};
-use chunks_core::wire::{decode_chunk_at, WIRE_HEADER_LEN};
+use chunks_core::packet::{chunks_in, validate, Packet, PacketBuilder};
+use chunks_core::wire::WIRE_HEADER_LEN;
 use chunks_obs::{ObsSink, ShardSink};
 
 use crate::ack::AckInfo;
@@ -138,7 +138,7 @@ pub struct ConnectionDemux {
     /// Chunks routed, by wire type byte (index = `ChunkType::to_u8`).
     pub routed: [u64; 5],
     /// Reused per-chunk event staging — keeps the steady state of
-    /// [`Self::handle_packet_into`] allocation-free.
+    /// [`Self::ingest`] allocation-free.
     scratch: Vec<RxEvent>,
 }
 
@@ -199,76 +199,56 @@ impl ConnectionDemux {
         &mut self.receivers
     }
 
-    /// Handles one packet, routing every chunk it carries. Each data/ED
-    /// chunk routed to a live receiver bumps that connection's LRU touch.
+    /// Handles one packet, routing every chunk it carries: [`Self::ingest`]
+    /// into a fresh event buffer.
     pub fn handle_packet(&mut self, packet: &Packet, now: u64) -> Vec<DemuxEvent> {
         let mut events = Vec::new();
-        self.handle_packet_into(packet, now, &mut events);
+        self.ingest(packet, now, &mut events);
         events
     }
 
-    /// Like [`Self::handle_packet`], appending into a caller-owned buffer.
-    pub fn handle_packet_into(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
-        let chunks = match unpack(packet) {
-            Ok(c) => c,
-            Err(_) => return,
-        };
-        for chunk in chunks {
-            self.route_chunk(chunk, now, events);
-        }
-    }
-
-    /// Zero-copy packet ingest: one validation scan, then a streaming span
-    /// walk whose decoded payloads borrow the packet's `Bytes` — the serial
-    /// twin of [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest)
-    /// and the entry the million-connection scale harness drives. Identical
-    /// routing to [`Self::handle_packet`]; a malformed chunk rejects the
-    /// whole packet, exactly like `unpack`.
+    /// Zero-copy packet ingest, appending into a caller-owned buffer: one
+    /// validation scan, then a walk over the packet's chunks whose payloads
+    /// borrow its `Bytes` — the serial twin of
+    /// [`ParallelReceiver::ingest`](crate::parallel::ParallelReceiver::ingest).
+    /// A malformed chunk rejects the whole packet. Each data/ED chunk routed
+    /// to a live receiver bumps that connection's LRU touch.
     pub fn ingest(&mut self, packet: &Packet, now: u64, events: &mut Vec<DemuxEvent>) {
         if validate(packet).is_err() {
             return;
         }
-        for (at, _end) in spans(packet) {
-            // The validation scan already vetted this span.
-            let Ok((chunk, _)) = decode_chunk_at(&packet.bytes, at) else {
-                continue;
-            };
-            self.route_chunk(chunk, now, events);
-        }
-    }
-
-    /// Routes one decoded chunk — shared tail of both decode paths.
-    fn route_chunk(&mut self, chunk: Chunk, now: u64, events: &mut Vec<DemuxEvent>) {
-        self.routed[chunk.header.ty.to_u8() as usize] += 1;
-        match chunk.header.ty {
-            ChunkType::Ack => {
-                if let Ok(ack) = AckInfo::from_chunk(&chunk) {
-                    events.push(DemuxEvent::Ack {
-                        conn_id: chunk.header.conn.id,
-                        ack,
-                    });
-                }
-            }
-            ChunkType::Signal => {
-                if let Ok(s) = Signal::from_chunk(&chunk) {
-                    events.push(DemuxEvent::Signal(s));
-                }
-            }
-            ChunkType::Data | ChunkType::ErrorDetection => {
-                let conn_id = chunk.header.conn.id;
-                let scratch = &mut self.scratch;
-                match self.receivers.lookup(conn_id, now) {
-                    Some(rx) => {
-                        scratch.clear();
-                        rx.handle_chunk_into(chunk, now, scratch);
-                        for event in scratch.drain(..) {
-                            events.push(DemuxEvent::Connection { conn_id, event });
-                        }
+        for chunk in chunks_in(packet) {
+            self.routed[chunk.header.ty.to_u8() as usize] += 1;
+            match chunk.header.ty {
+                ChunkType::Ack => {
+                    if let Ok(ack) = AckInfo::from_chunk(&chunk) {
+                        events.push(DemuxEvent::Ack {
+                            conn_id: chunk.header.conn.id,
+                            ack,
+                        });
                     }
-                    None => events.push(DemuxEvent::UnknownConnection { conn_id }),
                 }
+                ChunkType::Signal => {
+                    if let Ok(s) = Signal::from_chunk(&chunk) {
+                        events.push(DemuxEvent::Signal(s));
+                    }
+                }
+                ChunkType::Data | ChunkType::ErrorDetection => {
+                    let conn_id = chunk.header.conn.id;
+                    let scratch = &mut self.scratch;
+                    match self.receivers.lookup(conn_id, now) {
+                        Some(rx) => {
+                            scratch.clear();
+                            rx.handle_chunk_into(chunk, now, scratch);
+                            for event in scratch.drain(..) {
+                                events.push(DemuxEvent::Connection { conn_id, event });
+                            }
+                        }
+                        None => events.push(DemuxEvent::UnknownConnection { conn_id }),
+                    }
+                }
+                ChunkType::Padding => {}
             }
-            ChunkType::Padding => {}
         }
     }
 }
@@ -279,6 +259,7 @@ mod tests {
     use crate::conn::ConnectionParams;
     use crate::receiver::DeliveryMode;
     use crate::sender::{Sender, SenderConfig};
+    use chunks_core::packet::unpack;
     use chunks_wsc::InvariantLayout;
 
     fn params(conn_id: u32) -> ConnectionParams {

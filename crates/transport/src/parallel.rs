@@ -46,7 +46,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use chunks_core::label::ChunkType;
 use chunks_core::packet::{spans, validate, Packet};
-use chunks_core::wire::{decode_chunk_at, decode_chunk_observed, labels_of};
+use chunks_core::wire::{decode_chunk_at, labels_of, observe_decode};
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, ShardSink, SpanId, Stage};
 use chunks_vreasm::OverlapPolicy;
 use chunks_wsc::{InvariantLayout, Wsc2Stream};
@@ -327,8 +327,8 @@ struct Shard {
     /// the worker's private [`ShardSink`] facade: counters are plain
     /// owner-writes, folded into the root at flush barriers.
     obs: Arc<dyn ObsSink>,
-    /// Cached `obs.enabled() && obs.verbose()`: gates the observed decode
-    /// path, whose per-chunk trace events materialise payload copies.
+    /// Cached `obs.enabled() && obs.verbose()`: gates the per-chunk decode
+    /// trace events.
     obs_verbose: bool,
 }
 
@@ -359,14 +359,12 @@ impl Shard {
             Work::Chunk { raw, now } => {
                 // The zero-copy decode slices the chunk's payload straight
                 // out of the dispatched span (itself a slice of the arriving
-                // packet); only the observed decode still materialises a
-                // copy, in exchange for its per-chunk trace events — so a
-                // non-verbose (always-on) sink keeps the zero-copy path.
-                let decoded = if self.obs_verbose {
-                    decode_chunk_observed(&raw, now, &*self.obs)
-                } else {
-                    decode_chunk_at(&raw, 0)
-                };
+                // packet); a verbose sink only observes the outcome.
+                let decoded = decode_chunk_at(&raw, 0);
+                if self.obs_verbose {
+                    let outcome = decoded.as_ref().map(|(c, _)| &c.header);
+                    observe_decode(&raw, outcome, now, &*self.obs);
+                }
                 let chunk = match decoded {
                     Ok((c, _)) => c,
                     Err(_) => {
@@ -1086,6 +1084,7 @@ impl ParallelReceiver {
 mod tests {
     use super::*;
     use crate::sender::{Sender, SenderConfig};
+    use chunks_obs::RecordingSink;
 
     fn params(conn_id: u32) -> ConnectionParams {
         ConnectionParams {
@@ -1195,21 +1194,78 @@ mod tests {
             .any(|e| matches!(e.kind, ControlKind::UnknownConnection { conn_id: 9 })));
     }
 
+    /// Conn 1's first data chunk span, and its first ED chunk span spoiled
+    /// two ways: claiming `LEN = 2` (fails `ChunkHeader::validate`) and
+    /// carrying an unknown TYPE byte (the header does not decode).
+    fn data_and_bad_ed_spans() -> (Bytes, [Vec<u8>; 2]) {
+        let packets = packets_for(&[1]);
+        let raws: Vec<Bytes> = packets
+            .iter()
+            .flat_map(|p| spans(p).map(move |(at, end)| p.bytes.slice(at..end)))
+            .collect();
+        let first = |ty: ChunkType| raws.iter().find(|raw| raw[0] == ty.to_u8()).unwrap();
+        let ed = first(ChunkType::ErrorDetection);
+        let (mut not_atomic, mut bad_type) = (ed.to_vec(), ed.to_vec());
+        not_atomic[4..8].copy_from_slice(&2u32.to_be_bytes());
+        bad_type[0] = 0x7F;
+        (first(ChunkType::Data).clone(), [not_atomic, bad_type])
+    }
+
+    fn chunk_events(sink: &RecordingSink) -> Vec<Event> {
+        let events = sink.events().into_iter().map(|e| e.event);
+        events
+            .filter(|e| matches!(e, Event::ChunkDecoded { .. } | Event::ChunkRejected { .. }))
+            .collect()
+    }
+
     #[test]
-    fn malformed_packet_rejected_whole() {
-        let mut packets = packets_for(&[1]);
-        let frame = packets.remove(0);
-        let mut bytes = frame.bytes.to_vec();
-        bytes[0] = 0x7F; // bad TYPE on the first chunk
-        let bad = Packet {
-            bytes: Bytes::from(bytes),
+    fn verbose_shard_reports_each_dispatched_chunk_it_decodes_or_refuses() {
+        let (data, [not_atomic, bad_type]) = data_and_bad_ed_spans();
+        let sink = RecordingSink::shared();
+        let mut shard = Shard::new(0, sink.clone());
+        let (spec, now) = (spec(1), 0);
+        shard.process(Work::Admit { spec, now });
+        let ed_labels = labels_of(&chunks_core::wire::decode_header(&not_atomic).unwrap());
+        for raw in [data.clone(), not_atomic.into(), bad_type.into()] {
+            shard.process(Work::Chunk { raw, now: 5 });
+        }
+        assert_eq!((shard.chunks, shard.decode_errors), (1, 2));
+        let data_header = chunks_core::wire::decode_header(&data).unwrap();
+        let decoded = Event::ChunkDecoded {
+            labels: labels_of(&data_header),
+            ty: ChunkType::Data.to_u8(),
+            bytes: data_header.payload_len() as u32,
         };
-        let mut pr = ParallelReceiver::new(2, Engine::Virtual(Schedule::Fair), vec![spec(1)]);
-        pr.ingest(&bad, 0);
+        let rejected = |labels, reason| Event::ChunkRejected { labels, reason };
+        // A span whose header does not decode has no labels to report.
+        let want = [
+            decoded,
+            rejected(ed_labels, "control-not-atomic"),
+            rejected(Labels::default(), "bad-type"),
+        ];
+        assert_eq!(chunk_events(&sink), want);
+        assert_eq!(sink.snapshot().counter("core.wire.decode_rejects"), 2);
+    }
+
+    #[test]
+    fn verbose_pipeline_refuses_a_malformed_packet_before_any_decode_event() {
+        // Dispatch validates the whole packet before routing any span, so a
+        // malformed packet reaches no shard and raises no chunk event.
+        let (data, [not_atomic, bad_type]) = data_and_bad_ed_spans();
+        let mut garbage = vec![0u8; chunks_core::wire::WIRE_HEADER_LEN];
+        garbage.push(0x42);
+        let sink = RecordingSink::shared();
+        let fair = Engine::Virtual(Schedule::Fair);
+        let mut pr = ParallelReceiver::new_with_obs(2, fair, vec![spec(1)], sink.clone());
+        for tail in [not_atomic, bad_type, garbage] {
+            let bytes = [&data[..], &tail].concat().into();
+            pr.ingest(&Packet { bytes }, 5);
+        }
         let out = pr.finish();
-        assert_eq!(out.dispatch.bad_packets, 1);
+        assert_eq!(out.dispatch.bad_packets, 3);
         assert_eq!(out.dispatch.chunks_dispatched, 0);
         assert!(out.conns[&1].events.is_empty());
+        assert!(chunk_events(&sink).is_empty());
     }
 
     #[test]

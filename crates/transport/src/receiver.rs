@@ -28,8 +28,7 @@ use std::sync::Arc;
 
 use chunks_core::chunk::Chunk;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{spans, unpack, unpack_observed, validate, Packet};
-use chunks_core::wire::decode_chunk_at;
+use chunks_core::packet::{chunks_in, validate, validate_observed, Packet};
 use chunks_obs::{Event, HotCounter, Labels, ObsSink, SpanId, Stage};
 use chunks_vreasm::{OverlapPolicy, PduTracker, Reassembly, Resolution, TrackEvent};
 use chunks_wsc::{InvariantLayout, TpduInvariant};
@@ -238,11 +237,6 @@ pub struct Receiver {
     /// Data and ED chunks taken so far, whatever became of them (accepted,
     /// duplicate or discarded): [`Self::chunks_taken`].
     taken: u64,
-    /// Differential-test oracle: when set, `handle_packet` decodes through
-    /// the pre-refactor owned path (`unpack`, one payload copy per chunk)
-    /// instead of the zero-copy span walk. Behaviour must be identical —
-    /// `tests/parallel_differential.rs` replays every scenario both ways.
-    legacy_owned: bool,
     /// Accumulated statistics.
     pub stats: RxStats,
     /// Observability sink; [`chunks_obs::NullSink`] unless
@@ -250,10 +244,10 @@ pub struct Receiver {
     obs: Arc<dyn ObsSink>,
     /// Cached `obs.enabled()`: the disabled hot path is this one branch.
     obs_on: bool,
-    /// Cached `obs.enabled() && obs.verbose()`: gates the *expensive*
-    /// instrumentation (observed decode with its payload copies, per-chunk
-    /// events) that the always-on production sink refuses so the obs-on hot
-    /// path stays allocation-free.
+    /// Cached `obs.enabled() && obs.verbose()`: gates the per-chunk trace
+    /// events (decode, delivery) that the always-on production sink refuses
+    /// so its hot path stays allocation-free. It never changes the decode
+    /// path, only what that path reports.
     obs_verbose: bool,
     /// Last virtual-clock time seen by `handle_chunk`/`handle_packet`;
     /// stamps trace events emitted from call paths without a `now`.
@@ -325,7 +319,6 @@ impl Receiver {
             ahead: Vec::new(),
             closed: false,
             taken: 0,
-            legacy_owned: false,
             stats: RxStats::default(),
             obs: chunks_obs::null(),
             obs_on: false,
@@ -386,19 +379,6 @@ impl Receiver {
     /// The delivery mode.
     pub fn mode(&self) -> DeliveryMode {
         self.mode
-    }
-
-    /// Routes `handle_packet` through the pre-refactor owned decode path
-    /// (builder form). This is the differential-test oracle: identical
-    /// events, stats, and delivered bytes are required of both paths.
-    pub fn with_legacy_owned(mut self, on: bool) -> Self {
-        self.set_legacy_owned(on);
-        self
-    }
-
-    /// See [`Self::with_legacy_owned`].
-    pub fn set_legacy_owned(&mut self, on: bool) {
-        self.legacy_owned = on;
     }
 
     /// Pre-sizes every growth point on the receive path for `tpdus` more
@@ -558,10 +538,10 @@ impl Receiver {
     }
 
     /// Handles a batch of packets arriving at the same virtual time. The
-    /// per-call bookkeeping — the `now` stamp, the decode-path selection,
-    /// the caller's event buffer — is paid once per batch instead of once
-    /// per packet, and the deferred WSC folds inside each group's
-    /// `Wsc2Stream` amortise across the whole batch of absorbed chunks.
+    /// per-call bookkeeping — the `now` stamp and the caller's event buffer
+    /// — is paid once per batch instead of once per packet, and the
+    /// deferred WSC folds inside each group's `Wsc2Stream` amortise across
+    /// the whole batch of absorbed chunks.
     pub fn ingest_batch(&mut self, packets: &[Packet], now: u64, out: &mut Vec<RxEvent>) {
         self.last_now = now;
         for packet in packets {
@@ -570,45 +550,23 @@ impl Receiver {
     }
 
     fn packet_inner(&mut self, packet: &Packet, now: u64, out: &mut Vec<RxEvent>) {
-        if self.obs_verbose || self.legacy_owned {
-            // Observed decode keeps per-chunk trace events in wire order
-            // (verbose sinks only — it copies each payload); the
-            // legacy-owned oracle keeps the pre-refactor copying decode.
-            let parsed = if self.obs_verbose {
-                unpack_observed(packet, now, &*self.obs)
-            } else {
-                unpack(packet)
-            };
-            match parsed {
-                Ok(chunks) => {
-                    for chunk in chunks {
-                        self.chunk_inner(chunk, now, out);
-                    }
-                }
-                Err(_) => {
-                    self.stats.bad_packets += 1;
-                    if self.obs_on {
-                        self.obs.counter("transport.rx.bad_packets", 1);
-                    }
-                }
-            }
-            return;
-        }
-        // Zero-copy hot path: one allocation-free validation scan preserves
-        // `unpack`'s whole-packet reject semantics, then each chunk decodes
-        // in place with its payload borrowing the packet's `Bytes`.
-        if validate(packet).is_err() {
+        // One allocation-free validation scan keeps the whole-packet reject
+        // semantics; a verbose sink observes that same scan. Then each
+        // chunk decodes in place, its payload borrowing the packet's
+        // `Bytes`.
+        let verdict = if self.obs_verbose {
+            validate_observed(packet, now, &*self.obs)
+        } else {
+            validate(packet)
+        };
+        if verdict.is_err() {
             self.stats.bad_packets += 1;
             if self.obs_on {
                 self.obs.counter("transport.rx.bad_packets", 1);
             }
             return;
         }
-        for (at, _) in spans(packet) {
-            let Ok((chunk, _)) = decode_chunk_at(&packet.bytes, at) else {
-                debug_assert!(false, "validated packet must decode");
-                continue;
-            };
+        for chunk in chunks_in(packet) {
             self.chunk_inner(chunk, now, out);
         }
     }
@@ -2043,5 +2001,79 @@ mod tests {
         assert_eq!(r.verified_prefix(), 24);
         assert!(r.make_ack().sacks.is_empty());
         assert_eq!(swept_ack_state(&r), (24, vec![]));
+    }
+
+    // Verbose decode instrumentation on malformed packets, pinned: a chunk
+    // that fails its own checks (`ChunkHeader::validate`, the payload
+    // bound, truncation) raises `ChunkRejected`; a framing failure outside
+    // any chunk raises none. Either way no chunk of the packet is processed.
+
+    /// Feeds `wire` as one packet at t = 7 to a receiver with a recording
+    /// sink.
+    fn feed_verbose(wire: Vec<u8>) -> (Receiver, Vec<RxEvent>, Arc<chunks_obs::RecordingSink>) {
+        let sink = chunks_obs::RecordingSink::shared();
+        let mut r = rx(DeliveryMode::Immediate).with_obs(sink.clone());
+        let out = r.handle_packet(&Packet { bytes: wire.into() }, 7);
+        (r, out, sink)
+    }
+
+    /// The data chunk and the ED chunk of one 8-byte TPDU, and the packet
+    /// carrying both.
+    fn data_and_ed() -> (Chunk, Chunk, Vec<u8>) {
+        let chunks: Vec<Chunk> = framed(b"abcdefgh")[0].all_chunks().collect();
+        let wire = pack(chunks.clone(), 1500).unwrap()[0].bytes.to_vec();
+        let [data, ed] = <[Chunk; 2]>::try_from(chunks).expect("one data chunk, one ED chunk");
+        assert_eq!(ed.header.ty, ChunkType::ErrorDetection);
+        (data, ed, wire)
+    }
+
+    #[test]
+    fn a_good_packet_decodes_every_chunk_before_any_is_processed() {
+        let (r, out, sink) = feed_verbose(data_and_ed().2);
+        assert!(matches!(out[..], [RxEvent::TpduDelivered { .. }]));
+        assert_eq!(r.chunks_taken(), 2);
+        let names: Vec<&str> = sink.events().iter().map(|e| e.event.name()).collect();
+        assert_eq!(names, ["ChunkDecoded", "ChunkDecoded", "GroupDelivered"]);
+    }
+
+    #[test]
+    fn a_malformed_packet_reports_the_chunks_before_the_bad_one() {
+        use chunks_core::wire::labels_of;
+        let (data, ed, wire) = data_and_ed();
+        let decoded = Event::ChunkDecoded {
+            labels: labels_of(&data.header),
+            ty: ChunkType::Data.to_u8(),
+            bytes: 8,
+        };
+        // Spoil the ED chunk, which starts right after the data chunk.
+        let (good, ed_wire) = wire.split_at(data.wire_len());
+        let mut not_atomic = ed_wire.to_vec();
+        not_atomic[4..8].copy_from_slice(&2u32.to_be_bytes());
+        let mut bad_type = ed_wire.to_vec();
+        bad_type[0] = 0x7F;
+        let mut garbage = vec![0u8; chunks_core::wire::WIRE_HEADER_LEN];
+        garbage.push(0x42);
+        let rejected = Event::ChunkRejected {
+            labels: labels_of(&ed.header),
+            reason: "control-not-atomic",
+        };
+        let cases = [
+            ("control chunk with LEN = 2", not_atomic, Some(rejected)),
+            ("unknown TYPE byte", bad_type, None),
+            ("nonzero bytes after the end marker", garbage, None),
+        ];
+        for (name, tail, rejected) in cases {
+            let (r, out, sink) = feed_verbose([good, &tail].concat());
+            assert!(out.is_empty() && r.chunks_taken() == 0, "{name}: processed");
+            assert_eq!(r.stats.bad_packets, 1, "{name}");
+            let want: Vec<Event> = std::iter::once(decoded).chain(rejected).collect();
+            let got: Vec<Event> = sink.events().iter().map(|e| e.event).collect();
+            assert_eq!(got, want, "{name}");
+            let snap = sink.snapshot();
+            assert_eq!(snap.counter("core.wire.chunks_decoded"), 1, "{name}");
+            let rejects = snap.counter("core.wire.decode_rejects");
+            assert_eq!(rejects, rejected.is_some() as u64, "{name}");
+            assert_eq!(snap.counter("transport.rx.bad_packets"), 1, "{name}");
+        }
     }
 }

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use chunks_core::chunk::Chunk;
 use chunks_core::label::ChunkType;
-use chunks_core::packet::{unpack, Packet};
+use chunks_core::packet::{chunks_in, validate, Packet};
 use chunks_vreasm::{PduTracker, TrackEvent};
 use chunks_wsc::{InvariantLayout, TpduInvariant};
 
@@ -124,9 +124,9 @@ impl StreamReceiver {
     /// Feeds a packet; verified in-order bytes accumulate in the outbox
     /// (fetch with [`Self::poll_delivered`]).
     pub fn handle_packet(&mut self, packet: &Packet, now: u64) {
-        if let Ok(chunks) = unpack(packet) {
-            for c in chunks {
-                self.handle_chunk(c, now);
+        if validate(packet).is_ok() {
+            for chunk in chunks_in(packet) {
+                self.handle_chunk(chunk, now);
             }
         }
     }

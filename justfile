@@ -25,6 +25,12 @@ clippy:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# Rust line count over crates, src, tests and examples: the basis of the
+# line figures in ROADMAP.md and CHANGES.md. Run it before and after a
+# change to report the net delta.
+rust-lines:
+    find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l
+
 # Tier-1: what the repo must always pass (see ROADMAP.md).
 test:
     cargo build --release

@@ -1,17 +1,18 @@
 //! Receive hot-path sweep: chunks/s, bytes/s and allocations-per-chunk for
-//! the zero-copy receive path, its pre-refactor owned oracle, and the
+//! the zero-copy receive path, the owned reference decode, and the
 //! parallel dispatcher — the numbers behind `BENCH_hotpath.json`.
 //!
 //! Three legs over the same clean packet stream:
 //!
-//! * **zero-copy** — the default serial path: one `validate` scan, a
-//!   streaming span walk, payloads sliced (not copied) from the packet
-//!   buffer, pooled group state, batched ingest. The ≥ 96 MiB/s acceptance
-//!   bar reads this leg.
-//! * **legacy-owned** — the same receiver through the owned `unpack` decode
-//!   (`set_legacy_owned`), kept as the differential oracle. Reported for
-//!   contrast; its per-chunk copies and allocations are the cost the
-//!   refactor removed.
+//! * **zero-copy** — the receive path: one `validate` scan, then a walk
+//!   over the packet's chunks with payloads sliced (not copied) from the
+//!   packet buffer, pooled group state, batched ingest. The ≥ 96 MiB/s
+//!   acceptance bar reads this leg.
+//! * **legacy-owned** — the owned reference decode driven by hand: `unpack`
+//!   copies each packet's chunks out, and the same receiver takes them
+//!   through `handle_chunk_into`. Its delivered digests must equal the
+//!   zero-copy leg's; its per-chunk copies and allocations are reported for
+//!   contrast, as the cost the zero-copy walk avoids.
 //! * **parallel** — the virtual-engine dispatcher at 4 workers, batched
 //!   ingest + drain (single-threaded execution, so the wall time is the
 //!   total work, not a host-core measurement).
@@ -26,7 +27,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chunks_core::packet::{spans, Packet};
+use chunks_core::packet::{spans, unpack, Packet};
 use chunks_obs::{ObsSink, ShardSink};
 use chunks_transport::{
     ConnSpec, ConnectionParams, DeliveryMode, Engine, ParallelReceiver, Receiver, Schedule, Sender,
@@ -232,7 +233,6 @@ pub(crate) fn run_serial_with(
     if let Some(sink) = sink {
         rx.set_obs(ShardSink::wrap(sink));
     }
-    rx.set_legacy_owned(legacy);
     rx.reserve(tpdus + 8, tpdus * 4 + 64);
     let mut out = Vec::with_capacity(tpdus * 4 + 64);
     let mut steady_from = 0u64;
@@ -241,7 +241,15 @@ pub(crate) fn run_serial_with(
         if i == warm_batches {
             steady_from = alloc_count::allocs();
         }
-        rx.ingest_batch(batch, i as u64, &mut out);
+        if legacy {
+            // The owned reference decode: `unpack` copies every payload out
+            // of its packet, and the receiver takes the owned chunks.
+            for chunk in batch.iter().flat_map(|p| unpack(p).unwrap_or_default()) {
+                rx.handle_chunk_into(chunk, i as u64, &mut out);
+            }
+        } else {
+            rx.ingest_batch(batch, i as u64, &mut out);
+        }
     }
     let steady_allocs = alloc_count::allocs() - steady_from;
     let wall_ns = begin.elapsed().as_nanos() as u64;

@@ -9,9 +9,9 @@
 //!   (owner-writes, no lock-prefix RMW on the hot path), the flight
 //!   recorder armed, per-chunk trace events declined (`verbose() = false`).
 //!   This is the production configuration the ≤5% gate reads.
-//! * **on-recording** — a [`RecordingSink`]: full per-chunk events, spans
-//!   and the observed decode path (which materialises payload copies).
-//!   Reported for contrast; this is the debug configuration.
+//! * **on-recording** — a [`RecordingSink`]: full per-chunk events and
+//!   spans, observed on the same zero-copy decode walk. Reported for
+//!   contrast; this is the debug configuration.
 //!
 //! Three legs per mode: the **serial** zero-copy receiver, the **parallel**
 //! virtual-engine dispatcher, and the **demux** connection-table path (the

@@ -259,11 +259,12 @@ proptest! {
             proptest::collection::vec(any::<u8>(), 1..120), 1..8),
         mtu in 256usize..1500,
     ) {
-        // The zero-copy walk (validate → spans → decode_chunk_at) and the
+        // The zero-copy walk the receive stacks take (validate →
+        // chunks_in), its span form (spans → decode_chunk_at) and the
         // borrowed view (decode_chunk_ref) must reproduce the owned decode
         // (unpack) bit for bit, for arbitrary packed chunk sequences — and
         // the borrowed payloads must point *into* the packet buffer.
-        use chunks::core::packet::{pack, spans, unpack, validate};
+        use chunks::core::packet::{chunks_in, pack, spans, unpack, validate};
         use chunks::core::wire::{decode_chunk_at, decode_chunk_ref};
 
         let chunks: Vec<Chunk> = payloads
@@ -297,7 +298,8 @@ proptest! {
                 }
                 walked.push(chunk);
             }
-            prop_assert_eq!(walked, owned);
+            prop_assert_eq!(&walked, &owned);
+            prop_assert_eq!(chunks_in(&packet).collect::<Vec<_>>(), owned);
         }
     }
 

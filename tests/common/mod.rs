@@ -328,37 +328,27 @@ pub struct SerialReplay {
     pub transcript_digest: [u8; 8],
 }
 
-/// Replays a recorded trace through a fresh serial [`ConnectionDemux`]
-/// using the zero-copy borrow path (the default).
+/// Replays a recorded trace through a fresh serial [`ConnectionDemux`],
+/// entering every frame through [`ConnectionDemux::ingest`] — the one
+/// packet entry of the serial demux.
 pub fn replay_serial(scenario: &Scenario, trace: &[TraceOp]) -> SerialReplay {
-    replay_serial_inner(scenario, trace, false)
-}
-
-/// Replays a recorded trace through the pre-refactor owned decode path
-/// (`Receiver::set_legacy_owned`) — the oracle leg of the borrow-vs-owned
-/// differential in `tests/parallel_differential.rs`.
-pub fn replay_serial_legacy(scenario: &Scenario, trace: &[TraceOp]) -> SerialReplay {
-    replay_serial_inner(scenario, trace, true)
-}
-
-fn replay_serial_inner(scenario: &Scenario, trace: &[TraceOp], legacy_owned: bool) -> SerialReplay {
     let ids = scenario.conn_ids();
     let mut demux = ConnectionDemux::new();
     for &id in &ids {
-        let mut rx = scenario.receiver(id);
-        rx.set_legacy_owned(legacy_owned);
-        demux.register(id, rx);
+        demux.register(id, scenario.receiver(id));
     }
     let mut per_conn: BTreeMap<u32, Vec<RxEvent>> =
         ids.iter().map(|&id| (id, Vec::new())).collect();
     let mut control = Vec::new();
+    let mut events = Vec::new();
     for op in trace {
         match op {
             TraceOp::Packet { frame, now } => {
                 let packet = Packet {
                     bytes: frame.clone().into(),
                 };
-                for event in demux.handle_packet(&packet, *now) {
+                demux.ingest(&packet, *now, &mut events);
+                for event in events.drain(..) {
                     match event {
                         DemuxEvent::Connection { conn_id, event } => {
                             per_conn.entry(conn_id).or_default().push(event);

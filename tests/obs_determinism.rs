@@ -2,7 +2,8 @@
 //!
 //! 1. **Determinism** — the same seeded soak scenario exports the
 //!    byte-identical JSON-lines trace (and the identical metric snapshot)
-//!    on every run. Traces are evidence, not samples.
+//!    on every run, and two cells' exports are pinned outright. Traces are
+//!    evidence, not samples.
 //! 2. **Differential transparency** — attaching a recording sink changes
 //!    *nothing observable*: delivered bytes, digests, outcomes and verdicts
 //!    are bit-identical to the `NullSink` run, on both the session path and
@@ -15,7 +16,9 @@
 //!    and every event variant, so the documented surface cannot drift from
 //!    the exported one.
 
-use chunks::experiments::{lineage, soak};
+use std::collections::BTreeMap;
+
+use chunks::experiments::{lineage, soak, trace};
 use chunks_netsim::Profile;
 use chunks_obs::{AlwaysOnSink, RecordingSink, CATALOGUE};
 use chunks_transport::{
@@ -83,6 +86,57 @@ fn recording_sink_is_differentially_transparent_on_the_session_path() {
             baseline, observed,
             "{name}: observing the run changed its outcome"
         );
+    }
+}
+
+/// Per-kind event counts of a JSON-lines trace export, as `Kind:n` words in
+/// kind order.
+fn event_kind_counts(json_lines: &str) -> String {
+    let mut counts = BTreeMap::new();
+    for line in json_lines.lines() {
+        let kind = line
+            .split("\"ev\": \"")
+            .nth(1)
+            .and_then(|r| r.split('"').next());
+        *counts
+            .entry(kind.expect("every trace line names its event"))
+            .or_insert(0) += 1;
+    }
+    let words: Vec<String> = counts.iter().map(|(k, n)| format!("{k}:{n}")).collect();
+    words.join(" ")
+}
+
+#[test]
+fn verbose_soak_traces_match_their_pinned_exports() {
+    // The `experiments trace <scenario> --json` exports of two soak cells,
+    // pinned as per-kind event counts plus a 64-bit FNV-1a digest of the
+    // whole export. Verbose decode events come from the receive path's
+    // framing walk, so any change to what that walk reports, or in which
+    // order, moves the digest.
+    let pins = [
+        (
+            "label-flips",
+            "BackoffApplied:3 ChunkDecoded:94 ChunkMutated:4 ChunkRejected:3 Degraded:1 \
+             GroupDelivered:32 PathChosen:47 RetransmitFired:3",
+            0x0b8f_393f_fc5d_cf45,
+        ),
+        (
+            "ack-loss-20",
+            "ChunkDecoded:92 GroupDelivered:32 PathChosen:46",
+            0x8a78_bbd5_1f9e_71e8_u64,
+        ),
+    ];
+    for (name, counts, digest) in pins {
+        let r = trace::run(SEED, name).expect("scenario exists");
+        assert!(r.passes(), "{name}: trace replay failed");
+        assert_eq!(event_kind_counts(&r.json_lines), counts, "{name}");
+        let fnv1a = r
+            .json_lines
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(fnv1a, digest, "{name}: trace export digest");
     }
 }
 

@@ -8,7 +8,10 @@
 //! pipeline at worker counts {1, 2, 4, 8}. Everything observable must match:
 //! delivered TPDU bytes, per-TPDU WSC-2 digests, accept/reject verdicts,
 //! receiver statistics, acknowledgments, event streams, control events,
-//! routed-chunk counters, and the folded session transcript digest.
+//! routed-chunk counters, and the folded session transcript digest. The
+//! serial replay enters every frame through `ConnectionDemux::ingest`, and
+//! a frame-level check holds the zero-copy walk to the owned `unpack` on
+//! every recorded frame.
 //!
 //! Scenario count: 200 in release, 24 in debug, `PARALLEL_SCENARIOS`
 //! overrides both (see `just test-parallel`).
@@ -16,7 +19,9 @@
 mod common;
 
 use chunks::transport::{Engine, Schedule};
-use common::{replay_parallel, replay_serial, replay_serial_legacy, scenario_count, scenarios};
+use chunks_core::packet::{chunks_in, unpack, validate, Packet};
+use chunks_core::Chunk;
+use common::{replay_parallel, replay_serial, scenario_count, scenarios};
 
 #[test]
 fn parallel_pipeline_equals_serial_path() {
@@ -72,100 +77,38 @@ fn parallel_pipeline_equals_serial_path() {
 }
 
 #[test]
-fn zero_copy_path_equals_legacy_owned_oracle() {
-    // The borrow-vs-owned differential: every seeded scenario goes through
-    // the pre-refactor owned decode path (`set_legacy_owned`, the oracle)
-    // and the zero-copy borrow path. Deliveries must be byte-identical and
-    // every observable — digests, verdicts, stats, acks, event streams —
-    // must match exactly.
-    let all = scenarios(scenario_count());
-    for scenario in &all {
-        let trace = scenario.generate_trace();
-        let owned = replay_serial_legacy(scenario, &trace);
-        let borrowed = replay_serial(scenario, &trace);
-        assert_eq!(
-            borrowed,
-            owned,
-            "{}: zero-copy path diverged from the owned oracle",
-            scenario.label()
-        );
-    }
-}
-
-#[test]
-fn session_reliability_identical_across_decode_paths() {
-    // Full closed-loop sessions (timers, acks, repair) with the inbound
-    // receiver on each decode path: delivered bytes and the complete
-    // `ReliabilityStats` snapshot must be identical.
-    use chunks::transport::{
-        ConnectionParams, DeliveryMode, ReliabilityStats, SenderConfig, Session,
-    };
-    use chunks::wsc::InvariantLayout;
-
-    let endpoint = |local: u32, remote: u32, legacy: bool| {
-        let params = |conn_id: u32| ConnectionParams {
-            conn_id,
-            elem_size: 1,
-            initial_csn: 0,
-            tpdu_elements: 32,
-        };
-        let layout = InvariantLayout::with_data_symbols(2048);
-        let mut s = Session::new(
-            SenderConfig {
-                params: params(local),
-                layout,
-                mtu: 256,
-                min_tpdu_elements: 4,
-                max_tpdu_elements: 256,
-            },
-            params(remote),
-            layout,
-            DeliveryMode::Immediate,
-            1 << 12,
-        );
-        s.set_legacy_owned(legacy);
-        s
-    };
-
-    let converse = |legacy: bool| -> (Vec<u8>, Vec<u8>, ReliabilityStats, ReliabilityStats) {
-        let mut a = endpoint(1, 2, legacy);
-        let mut b = endpoint(2, 1, legacy);
-        let msg_a: Vec<u8> = (0..700).map(|i| i as u8).collect();
-        let msg_b: Vec<u8> = (0..500).map(|i| (i * 7) as u8).collect();
-        a.send(&msg_a, 0xA, false);
-        b.send(&msg_b, 0xB, false);
-        // Deterministic ~20% loss, identical for both runs.
-        let mut state = 0x5EEDu64;
-        let mut lose = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33).is_multiple_of(5)
-        };
-        for round in 0..64u64 {
-            let now = round * 1_000_000;
-            let a_out = a.pump(now).unwrap();
-            let survivors: Vec<_> = a_out.into_iter().filter(|_| !lose()).collect();
-            b.handle_packets(&survivors, now);
-            let b_out = b.pump(now).unwrap();
-            let survivors: Vec<_> = b_out.into_iter().filter(|_| !lose()).collect();
-            a.handle_packets(&survivors, now);
-            if a.outbound_done() && b.outbound_done() {
-                break;
+fn zero_copy_walk_equals_the_owned_decode_on_every_trace_frame() {
+    // Frame-level oracle: every frame any scenario's receiver saw, the
+    // corrupted profiles' included, goes through the zero-copy walk and the
+    // owned `unpack`. They must accept and refuse the same frames with the
+    // same error, and on acceptance yield bitwise-equal chunks.
+    let (mut accepted, mut refused) = (0u64, 0u64);
+    for scenario in &scenarios(scenario_count()) {
+        for op in scenario.generate_trace() {
+            let common::TraceOp::Packet { frame, .. } = op else {
+                continue;
+            };
+            let packet = Packet {
+                bytes: frame.into(),
+            };
+            let walked = validate(&packet).map(|count| {
+                let zero_copy: Vec<Chunk> = chunks_in(&packet).collect();
+                assert_eq!(zero_copy.len(), count, "{}", scenario.label());
+                zero_copy
+            });
+            assert_eq!(walked, unpack(&packet), "{}", scenario.label());
+            match walked {
+                Ok(_) => accepted += 1,
+                Err(_) => refused += 1,
             }
         }
-        (
-            a.received().to_vec(),
-            b.received().to_vec(),
-            a.reliability(),
-            b.reliability(),
-        )
-    };
-
-    let (a_owned, b_owned, ra_owned, rb_owned) = converse(true);
-    let (a_zc, b_zc, ra_zc, rb_zc) = converse(false);
-    assert_eq!(a_zc, a_owned, "A-side deliveries diverged");
-    assert_eq!(b_zc, b_owned, "B-side deliveries diverged");
-    assert_eq!(ra_zc, ra_owned, "A-side ReliabilityStats diverged");
-    assert_eq!(rb_zc, rb_owned, "B-side ReliabilityStats diverged");
+    }
+    // The matrix must exercise both sides of the framing contract.
+    assert!(accepted > 0, "no frame was accepted");
+    assert!(
+        refused > 0,
+        "no frame was refused — corruption profiles not biting"
+    );
 }
 
 #[test]
